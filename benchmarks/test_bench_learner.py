@@ -40,7 +40,7 @@ from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
 from repro.rl.dqn import DQNConfig
 from repro.serve import DecisionServer, ServeConfig, drive
-from repro.utils.seeding import SeedSequenceFactory
+from repro.utils.seeding import derive_rng
 from repro.utils.timing import monotonic
 
 from benchmarks.conftest import write_result
@@ -55,6 +55,9 @@ ALS_ITERATIONS = 8
 BATCH_SIZE = 32
 REPLAY_CAPACITY = 4_096
 STEPS_PER_PUBLISH = 8
+#: Parent seed of the per-campaign streams: campaign i's assessor draws from
+#: child stream 2i and its actor from 2i + 1.
+STREAM_SEED = 0
 
 
 def _smoke_mode() -> bool:
@@ -80,7 +83,7 @@ def _agent(*, replay_capacity: int = BATCH_SIZE * 4) -> DRCellAgent:
     return DRCellAgent.build(N_CELLS, config)
 
 
-def _task(index: int, *, seeds: SeedSequenceFactory) -> SensingTask:
+def _task(index: int) -> SensingTask:
     dataset = generate_sensorscope(
         "temperature",
         n_cells=N_CELLS,
@@ -96,7 +99,7 @@ def _task(index: int, *, seeds: SeedSequenceFactory) -> SensingTask:
             min_observations=3,
             max_loo_cells=MAX_LOO_CELLS,
             history_window=HISTORY,
-            rng=seeds.generator(f"assess-{index}"),
+            rng=derive_rng(STREAM_SEED, 2 * index),
         ),
     )
 
@@ -111,9 +114,8 @@ def _final_errors(results) -> list:
 
 def _run_sequential_direct(n_campaigns: int):
     """One fresh per-campaign agent each, direct per-transition training."""
-    seeds = SeedSequenceFactory(0)
     campaigns = [
-        (_task(index, seeds=seeds), OnlineDRCellPolicy(_agent()))
+        (_task(index), OnlineDRCellPolicy(_agent()))
         for index in range(n_campaigns)
     ]
     start = monotonic()
@@ -126,7 +128,6 @@ def _run_sequential_direct(n_campaigns: int):
 
 def _run_served_shared_learner(n_campaigns: int):
     """All campaigns concurrently, one server, one shared fused learner."""
-    seeds = SeedSequenceFactory(0)
     learner = Learner(
         _agent(),
         config=LearnerConfig(
@@ -139,9 +140,9 @@ def _run_served_shared_learner(n_campaigns: int):
     runners = []
     drivers = []
     for index in range(n_campaigns):
-        task = _task(index, seeds=seeds)
+        task = _task(index)
         policy = learner.policy(
-            rng=seeds.generator(f"actor-{index}"), campaign=f"campaign-{index}"
+            rng=derive_rng(STREAM_SEED, 2 * index + 1), campaign=f"campaign-{index}"
         )
         runner = ServedCampaignRunner(task, _config(), server=server)
         runners.append(runner)

@@ -1,6 +1,6 @@
 """``lazy-import-hygiene``: the import graph stays lazy, guarded and acyclic.
 
-The library's import-time contract has three legs:
+The library's import-time contract has four legs:
 
 * ``repro/api/__init__.py`` is the PEP-562 façade: component modules do
   ``from repro.api.registry import DATASETS`` at import time, so the façade
@@ -11,6 +11,9 @@ The library's import-time contract has three legs:
   eagerly by a ``repro`` module outside a ``try/except ImportError`` guard —
   the library has to import (and the CPU paths have to run) on machines
   without them;
+* heavy modules only a rare path needs (``scipy.stats``, which alone
+  dominates the package's cold-start import) may only be imported inside
+  the function that uses them, never at module level of a ``repro`` module;
 * the explicit top-level import graph between ``repro`` modules must stay
   acyclic.  Implicit package-parent edges are normal Python and ignored;
   it is the *explicit* ``import repro.x`` edges that, once circular, make
@@ -35,6 +38,10 @@ API_FACADE_ALLOWED = frozenset({"__future__", "typing", "repro.api.registry"})
 #: Optional heavy dependencies that must stay behind ImportError guards.
 GUARDED_MODULES = frozenset({"numba", "torch"})
 
+#: Modules a ``repro`` module may only import inside a function: each costs
+#: far more import time than the one code path that needs it.
+FUNCTION_ONLY_MODULES = frozenset({"scipy.stats"})
+
 
 def _is_type_checking_guard(node: ast.If) -> bool:
     test = node.test
@@ -56,6 +63,22 @@ def _handles_import_error(node: ast.Try) -> bool:
             if name in ("ImportError", "ModuleNotFoundError", "Exception", "BaseException"):
                 return True
     return False
+
+
+def _function_only_import(node: ast.AST, imported: str) -> Optional[str]:
+    """The :data:`FUNCTION_ONLY_MODULES` entry this import loads, if any.
+
+    ``from scipy import stats`` names the module through the imported
+    alias, so ``from`` imports are checked as ``module.alias`` too.
+    """
+    candidates = [imported]
+    if isinstance(node, ast.ImportFrom):
+        candidates += [f"{imported}.{alias.name}" for alias in node.names]
+    for candidate in candidates:
+        for module in FUNCTION_ONLY_MODULES:
+            if candidate == module or candidate.startswith(module + "."):
+                return module
+    return None
 
 
 def _top_level_imports(
@@ -97,7 +120,8 @@ class LazyImportHygieneRule(AnalysisRule):
     id = "lazy-import-hygiene"
     description = (
         "repro.api facade imports only the registry eagerly, numba/torch stay behind "
-        "ImportError guards, and the explicit top-level import graph is acyclic"
+        "ImportError guards, scipy.stats is imported only inside functions, and the "
+        "explicit top-level import graph is acyclic"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -134,6 +158,14 @@ class LazyImportHygieneRule(AnalysisRule):
                     node,
                     f"eager top-level import of optional dependency `{root}`; wrap "
                     "it in try/except ImportError so the library imports without it",
+                )
+            lazy_only = _function_only_import(node, imported) if in_repro else None
+            if lazy_only is not None:
+                yield source.finding(
+                    self.id,
+                    node,
+                    f"module-level import of `{lazy_only}`; import it inside the "
+                    "function that needs it so importing the package stays cheap",
                 )
             if is_facade and imported not in API_FACADE_ALLOWED:
                 yield source.finding(

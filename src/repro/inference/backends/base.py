@@ -320,6 +320,11 @@ class ALSBackend(abc.ABC):
         Bit-exact with the pre-backend ``complete_batch`` kernel when
         ``tolerance`` is zero and ``shard_rows`` is unset; row-block sharding
         changes only BLAS reduction grouping (~1e-15 rounding).
+
+        Both grams are ``einsum`` reductions, never BLAS products: the
+        einsum sums over the contracted axis sequentially, so moving the
+        operands' memory layout (the transposed mask below) leaves every
+        byte unchanged, whereas a BLAS matmul blocks and reorders the sum.
         """
         normalised, maskf = problem.normalised, problem.maskf
         U, V = problem.cell_init, problem.cycle_init
@@ -328,7 +333,19 @@ class ALSBackend(abc.ABC):
         mu = problem.mu
         eye = np.eye(rank)
         n_cells = normalised.shape[1]
-        blocks = row_blocks(n_cells, problem.shard_rows)
+        # Row blocks as slices: views keep the mask C-contiguous, where
+        # fancy indexing would copy it into a slower (cells-first) layout.
+        blocks = [
+            slice(rows[0], rows[-1] + 1)
+            for rows in row_blocks(n_cells, problem.shard_rows)
+        ]
+        # The cycle gram sums over cells; a cells-last copy of the mask makes
+        # that sum stride-1 without changing its order.
+        mask_t = np.ascontiguousarray(maskf.transpose(0, 2, 1))
+        # Identity gates keep non-updating factors at their prior value; when
+        # every factor updates they are a byte-for-byte no-op, so skip them.
+        gate_rows = not problem.row_has_obs.all()
+        gate_cols = not problem.col_update.all()
         sweeps_run = 0
         for _ in range(problem.iterations):
             previous = (U.copy(), V.copy()) if problem.tolerance > 0 else None
@@ -339,23 +356,25 @@ class ALSBackend(abc.ABC):
             # an identity system, so the stacked solve cannot hit a singular
             # slot.
             for block in blocks:
-                grams = (
-                    np.einsum("kij,kjr,kjs->kirs", maskf[:, block], V, V) + ridge
-                )
-                grams = np.where(
-                    problem.row_has_obs[:, block][..., None], grams, eye
-                )
+                grams = np.einsum("kij,kjr,kjs->kirs", maskf[:, block], V, V)
+                grams += ridge
                 rhs = normalised[:, block] @ V
-                solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
-                U[:, block] = np.where(
-                    problem.row_has_obs[:, block], solved, U[:, block]
-                )
+                if gate_rows:
+                    has_obs = problem.row_has_obs[:, block]
+                    grams = np.where(has_obs[..., None], grams, eye)
+                    solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
+                    U[:, block] = np.where(has_obs, solved, U[:, block])
+                else:
+                    U[:, block] = np.linalg.solve(grams, rhs[..., None])[..., 0]
 
             # Cycle half-step (Jacobi): neighbours come from the previous
             # sweep's V, so all columns solve in one stacked call.
-            grams = np.einsum("kij,kir,kis->kjrs", maskf, U, U) + ridge
+            grams = np.einsum("kji,kir,kis->kjrs", mask_t, U, U)
+            grams += ridge
             rhs = np.einsum("kij,kir->kjr", normalised, U)
             if mu > 0:
+                # zeros_like then ``+=``, not assignment: ``0.0 + -0.0`` is
+                # ``+0.0``, so assigning would change signed zeros.
                 neighbor_sum = np.zeros_like(V)
                 if problem.left_gate is None:
                     neighbor_sum[:, :-1] += V[:, 1:]
@@ -363,11 +382,12 @@ class ALSBackend(abc.ABC):
                 else:
                     neighbor_sum[:, :-1] += V[:, 1:] * problem.right_gate[:, :-1, None]
                     neighbor_sum[:, 1:] += V[:, :-1] * problem.left_gate[:, 1:, None]
-                grams = grams + problem.smooth
-                rhs = rhs + mu * neighbor_sum
-            grams = np.where(problem.col_update[..., None], grams, eye)
+                grams += problem.smooth
+                rhs += mu * neighbor_sum
+            if gate_cols:
+                grams = np.where(problem.col_update[..., None], grams, eye)
             solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
-            V = np.where(problem.col_update, solved, V)
+            V = np.where(problem.col_update, solved, V) if gate_cols else solved
 
             sweeps_run += 1
             if previous is not None and factor_delta(U, V, *previous) < problem.tolerance:

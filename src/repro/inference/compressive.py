@@ -178,7 +178,10 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         step, and running K full ALS loops one by one is what the per-step
         Python overhead of :meth:`complete` costs.  Matrices are grouped by
         shape and each group is solved with a fully batched ALS
-        (``np.einsum`` grams, stacked LAPACK solves).
+        (``np.einsum`` grams, stacked LAPACK solves).  The grams stay einsum
+        reductions, never BLAS products: the einsum sums in a fixed
+        sequential order whatever the operand layout, which keeps the sweep
+        byte-identical as it is optimised (see ``ALSBackend.solve_stacked``).
 
         The batched solver optimises the same objective with the same
         initialisation and iteration budget, but updates the cycle factors
@@ -193,10 +196,11 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         one stack, with the temporal-smoothness coupling restricted to each
         matrix's true width.  Padding only adds zero terms to the batched
         sums, so a padded solve optimises exactly the per-shape objective;
-        because the longer BLAS reductions may group the same terms
-        differently, results can differ from the per-shape solve by float
-        rounding (~1e-15 — uniform-width groups remain bitwise identical,
-        no padding is involved).  Fleets whose windows span many distinct
+        because reductions over the longer padded axes (NumPy's pairwise
+        normalisation sums, the cell half-step's BLAS right-hand side) may
+        group the same terms differently, results can differ from the
+        per-shape solve by float rounding (~1e-15 — uniform-width groups
+        remain bitwise identical, no padding is involved).  Fleets whose windows span many distinct
         widths — e.g. campaigns at different cycles pooled by the decision
         server — therefore still fuse into a single ALS instead of
         degenerating to per-shape calls.  Matrices narrower than the

@@ -38,7 +38,7 @@ import abc
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.api.registry import ASSESSORS
 from repro.inference.base import InferenceAlgorithm
@@ -364,7 +364,9 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         if standard_error <= 1e-12:
             return 1.0 if mean <= requirement.epsilon else 0.0
         t_stat = (requirement.epsilon - mean) / standard_error
-        return float(stats.t.cdf(t_stat, df=n - 1))
+        # The Student-t CDF itself: ``stats.t.cdf`` calls ``stdtr``, so this is
+        # the same bytes without loading ``scipy.stats`` at import time.
+        return float(special.stdtr(n - 1, t_stat))
 
     @staticmethod
     def _classification_posterior(
@@ -389,6 +391,10 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         (``np.digitize`` with inclusive upper bounds) — the posterior must
         estimate the same quantity the recorded metric measures.
         """
+        # Imported here: ``scipy.stats`` dominates the package's import time
+        # and only the classification metric needs it.
+        from scipy import stats
+
         edges = np.asarray(requirement.category_edges(), dtype=float)
         true_category = np.digitize(true_values, edges, right=True)
         predicted_category = np.digitize(predicted_values, edges, right=True)

@@ -4,7 +4,7 @@ These helpers are intentionally dependency-free (NumPy only) so that every
 other subpackage can rely on them without circular imports.
 """
 
-from repro.utils.seeding import SeedSequenceFactory, as_rng, derive_rng
+from repro.utils.seeding import as_rng, derive_rng
 from repro.utils.validation import (
     check_fraction,
     check_matrix,
@@ -16,7 +16,6 @@ from repro.utils.validation import (
 from repro.utils.logging import get_logger
 
 __all__ = [
-    "SeedSequenceFactory",
     "as_rng",
     "derive_rng",
     "check_fraction",

@@ -10,7 +10,7 @@ independent child streams without the components knowing about each other.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -41,66 +41,13 @@ def derive_rng(seed: RngLike, stream: int) -> np.random.Generator:
     Deriving (rather than reusing) generators keeps unrelated components from
     consuming each other's random streams, which would otherwise make results
     depend on call order.
+
+    The child is ``SeedSequence(seed).spawn(stream + 1)[stream]``, built
+    directly from its spawn key so the cost does not grow with ``stream``.
     """
     if stream < 0:
         raise ValueError(f"stream index must be non-negative, got {stream}")
     if isinstance(seed, np.random.Generator):
-        # Spawn a child from the generator's bit stream deterministically.
-        child_seed = int(seed.integers(0, 2**63 - 1))
-        return np.random.default_rng(np.random.SeedSequence(child_seed).spawn(stream + 1)[stream])
-    base = np.random.SeedSequence(seed if seed is not None else None)
-    children = base.spawn(stream + 1)
-    return np.random.default_rng(children[stream])
-
-
-class SeedSequenceFactory:
-    """Hand out independent generators derived from one parent seed.
-
-    A factory is the preferred way to wire reproducibility through a
-    multi-component experiment: create one factory from the experiment seed
-    and request a named stream per component.
-
-    Examples
-    --------
-    >>> factory = SeedSequenceFactory(7)
-    >>> rng_a = factory.generator("dataset")
-    >>> rng_b = factory.generator("agent")
-    >>> float(rng_a.random()) != float(rng_b.random())
-    True
-    >>> SeedSequenceFactory(7).generator("dataset").random() == \
-            SeedSequenceFactory(7).generator("dataset").random()
-    True
-    """
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = seed
-        self._base = np.random.SeedSequence(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-        self._counter = 0
-
-    @property
-    def seed(self) -> Optional[int]:
-        """The parent seed this factory was constructed with."""
-        return self._seed
-
-    def generator(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name``, creating it on first use.
-
-        The same ``name`` always maps to the same child stream for a given
-        parent seed, regardless of the order in which names are requested.
-        """
-        if name not in self._streams:
-            # Hash the name into a stable spawn key so the mapping does not
-            # depend on request order.
-            key = abs(hash(name)) % (2**31)
-            child = np.random.SeedSequence(entropy=self._base.entropy, spawn_key=(key,))
-            self._streams[name] = np.random.default_rng(child)
-        return self._streams[name]
-
-    def fresh(self) -> np.random.Generator:
-        """Return a new anonymous child generator (unique per call)."""
-        self._counter += 1
-        child = np.random.SeedSequence(
-            entropy=self._base.entropy, spawn_key=(2**31 + self._counter,)
-        )
-        return np.random.default_rng(child)
+        # Seed the child from the generator's bit stream deterministically.
+        seed = int(seed.integers(0, 2**63 - 1))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))

@@ -52,8 +52,9 @@ CASES = {
             "eager top-level import of optional dependency `torch`",
             "explicit top-level import cycle: repro.alpha -> repro.beta -> repro.alpha",
             "repro.api facade eagerly imports `repro.api.session`",
+            "module-level import of `scipy.stats`",
         ],
-        3,
+        5,
     ),
     "suppression-hygiene": (
         "suppression",

@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.analysis import analyze
 from repro.analysis.project import Project
 from repro.analysis.registry import RULES
+from repro.analysis.rules.imports import FUNCTION_ONLY_MODULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -62,3 +63,11 @@ def test_rule_catalogue_documented():
     doc = (REPO_ROOT / "docs" / "analysis.md").read_text(encoding="utf-8")
     for name in RULES.names():
         assert f"`{name}`" in doc, f"rule `{name}` missing from docs/analysis.md"
+
+
+def test_function_only_modules_documented():
+    """Every module lazy-import-hygiene keeps out of module level is listed
+    in the rule's table in docs/analysis.md."""
+    doc = (REPO_ROOT / "docs" / "analysis.md").read_text(encoding="utf-8")
+    for module in FUNCTION_ONLY_MODULES:
+        assert f"| `{module}` |" in doc, f"`{module}` missing from docs/analysis.md"

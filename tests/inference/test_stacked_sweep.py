@@ -1,0 +1,217 @@
+"""Byte parity of the stacked (Jacobi) ALS sweep with its earlier form.
+
+``ALSBackend.solve_stacked`` is the kernel behind every ``complete_batch``,
+so every LOO assessment and training quality check runs it.  Its leaner form
+(views for row blocks, a cells-last mask for the cycle gram, identity gates
+skipped when every factor updates, in-place ridge/smoothness terms) must
+return the same bytes as the sweep it replaced.  ``reference_solve_stacked``
+below keeps that earlier sweep verbatim; each test captures the
+``StackedALSProblem`` objects that ``CompressiveSensingInference.
+complete_batch`` really builds and compares ``tobytes()`` of U, V and the
+sweep count.  ``als_golden.npz`` pins a single two-matrix case; this file
+covers the gating, width-bucketing, sharding and early-exit branches.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro.inference.backends import get_backend
+from repro.inference.backends.base import ALSBackend, factor_delta, row_blocks
+from repro.inference.compressive import CompressiveSensingInference
+
+#: The sweep under test, taken before any test patches the class.
+solve_stacked = ALSBackend.solve_stacked
+
+
+def reference_solve_stacked(problem):
+    """The stacked sweep as it was before the leaner form, kept verbatim."""
+    normalised, maskf = problem.normalised, problem.maskf
+    U, V = problem.cell_init, problem.cycle_init
+    rank = problem.rank
+    ridge = problem.regularization * np.eye(rank)
+    mu = problem.mu
+    eye = np.eye(rank)
+    n_cells = normalised.shape[1]
+    blocks = row_blocks(n_cells, problem.shard_rows)
+    sweeps_run = 0
+    for _ in range(problem.iterations):
+        previous = (U.copy(), V.copy()) if problem.tolerance > 0 else None
+
+        for block in blocks:
+            grams = (
+                np.einsum("kij,kjr,kjs->kirs", maskf[:, block], V, V) + ridge
+            )
+            grams = np.where(
+                problem.row_has_obs[:, block][..., None], grams, eye
+            )
+            rhs = normalised[:, block] @ V
+            solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
+            U[:, block] = np.where(
+                problem.row_has_obs[:, block], solved, U[:, block]
+            )
+
+        grams = np.einsum("kij,kir,kis->kjrs", maskf, U, U) + ridge
+        rhs = np.einsum("kij,kir->kjr", normalised, U)
+        if mu > 0:
+            neighbor_sum = np.zeros_like(V)
+            if problem.left_gate is None:
+                neighbor_sum[:, :-1] += V[:, 1:]
+                neighbor_sum[:, 1:] += V[:, :-1]
+            else:
+                neighbor_sum[:, :-1] += V[:, 1:] * problem.right_gate[:, :-1, None]
+                neighbor_sum[:, 1:] += V[:, :-1] * problem.left_gate[:, 1:, None]
+            grams = grams + problem.smooth
+            rhs = rhs + mu * neighbor_sum
+        grams = np.where(problem.col_update[..., None], grams, eye)
+        solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
+        V = np.where(problem.col_update, solved, V)
+
+        sweeps_run += 1
+        if previous is not None and factor_delta(U, V, *previous) < problem.tolerance:
+            break
+    return U, V, sweeps_run
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Every StackedALSProblem handed to a backend, copied before it runs."""
+    problems = []
+
+    def spy(self, problem):
+        problems.append(copy.deepcopy(problem))
+        return solve_stacked(self, problem)
+
+    monkeypatch.setattr(ALSBackend, "solve_stacked", spy)
+    return problems
+
+
+def assert_byte_parity(problems):
+    assert problems, "no stacked solve was captured"
+    backend = get_backend("numpy")
+    for problem in problems:
+        U_ref, V_ref, sweeps_ref = reference_solve_stacked(copy.deepcopy(problem))
+        U, V, sweeps = solve_stacked(backend, copy.deepcopy(problem))
+        assert U.tobytes() == U_ref.tobytes()
+        assert V.tobytes() == V_ref.tobytes()
+        assert sweeps == sweeps_ref
+
+
+def random_matrix(rng, n_cells, n_cycles, density=0.5, empty_rows=0, empty_cols=0):
+    """A partially observed field with at least one observation."""
+    base = rng.standard_normal((n_cells, 1)) + 0.3 * rng.standard_normal((n_cells, n_cycles))
+    observed = rng.random((n_cells, n_cycles)) < density
+    observed[rng.integers(n_cells), rng.integers(n_cycles)] = True
+    matrix = np.where(observed, base, np.nan)
+    for row in rng.choice(n_cells, size=empty_rows, replace=False):
+        matrix[row] = np.nan
+    for col in rng.choice(n_cycles, size=empty_cols, replace=False):
+        matrix[:, col] = np.nan
+    if np.isnan(matrix).all():
+        matrix[0, 0] = 1.0
+    return matrix
+
+
+def solve(captured, matrices, **kwargs):
+    kwargs.setdefault("seed", 0)
+    kwargs.setdefault("iterations", 6)
+    CompressiveSensingInference(**kwargs).complete_batch(matrices)
+    assert_byte_parity(captured)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("temporal_weight", [0.0, 0.1])
+def test_dense_uniform_stack(captured, rank, temporal_weight):
+    rng = np.random.default_rng(rank)
+    matrices = [random_matrix(rng, 20, 8, density=0.6) for _ in range(7)]
+    solve(captured, matrices, rank=rank, temporal_weight=temporal_weight)
+
+
+@pytest.mark.parametrize("rank", [1, 3, 5])
+@pytest.mark.parametrize("temporal_weight", [0.0, 0.1])
+def test_rows_and_columns_without_observations(captured, rank, temporal_weight):
+    rng = np.random.default_rng(10 + rank)
+    matrices = [
+        random_matrix(rng, 16, 9, density=0.4, empty_rows=3, empty_cols=2)
+        for _ in range(5)
+    ]
+    solve(captured, matrices, rank=rank, temporal_weight=temporal_weight)
+    # Both identity gates must really have been exercised.
+    assert not all(problem.row_has_obs.all() for problem in captured)
+    if temporal_weight == 0.0:
+        assert not all(problem.col_update.all() for problem in captured)
+
+
+@pytest.mark.parametrize("temporal_weight", [0.0, 0.25])
+def test_mixed_width_stack_uses_the_gates(captured, temporal_weight):
+    rng = np.random.default_rng(3)
+    matrices = [
+        random_matrix(rng, 12, width, density=0.5, empty_rows=1)
+        for width in (3, 5, 8, 8, 11, 4)
+    ]
+    solve(captured, matrices, rank=3, temporal_weight=temporal_weight)
+    assert any(problem.left_gate is not None for problem in captured)
+
+
+@pytest.mark.parametrize("shard_rows", [1, 4, 7, 50])
+def test_shard_rows_blocks(captured, shard_rows):
+    rng = np.random.default_rng(shard_rows)
+    matrices = [random_matrix(rng, 23, 10, empty_rows=2) for _ in range(4)]
+    solve(captured, matrices, rank=3, shard_rows=shard_rows)
+
+
+@pytest.mark.parametrize("tolerance", [1e-2, 1e-1])
+def test_tolerance_early_exit(captured, tolerance):
+    rng = np.random.default_rng(5)
+    matrices = [random_matrix(rng, 18, 8, density=0.7) for _ in range(6)]
+    solve(captured, matrices, rank=3, tolerance=tolerance, iterations=30)
+    assert any(
+        reference_solve_stacked(copy.deepcopy(problem))[2] < problem.iterations
+        for problem in captured
+    )
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_single_slot_stack(captured, rank):
+    rng = np.random.default_rng(20 + rank)
+    solve(captured, [random_matrix(rng, 15, 8, empty_rows=1)], rank=rank)
+    assert captured[0].normalised.shape[0] == 1
+
+
+@pytest.mark.parametrize("temporal_weight", [0.0, 0.1])
+def test_single_cycle_stack(captured, temporal_weight):
+    rng = np.random.default_rng(30)
+    matrices = [random_matrix(rng, 10, 1, density=0.6) for _ in range(4)]
+    solve(captured, matrices, rank=3, temporal_weight=temporal_weight)
+    assert all(problem.normalised.shape[2] == 1 for problem in captured)
+
+
+def test_many_random_problems(captured):
+    """Seeded sweep over shapes, densities, ranks and knobs."""
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        n_cells = int(rng.integers(2, 40))
+        widths = rng.integers(1, 26, size=int(rng.integers(1, 10)))
+        matrices = [
+            random_matrix(
+                rng,
+                n_cells,
+                int(width),
+                density=float(rng.uniform(0.1, 0.9)),
+                empty_rows=int(rng.integers(0, max(1, n_cells // 4))),
+            )
+            for width in widths
+        ]
+        CompressiveSensingInference(
+            rank=int(rng.integers(1, 6)),
+            temporal_weight=float(rng.choice([0.0, 0.05, 0.3])),
+            regularization=float(rng.choice([0.01, 0.1, 1.0])),
+            iterations=int(rng.integers(1, 9)),
+            shard_rows=None if rng.random() < 0.7 else int(rng.integers(1, n_cells + 1)),
+            seed=int(rng.integers(1000)),
+        ).complete_batch(matrices)
+    assert len(captured) >= 40
+    assert_byte_parity(captured)

@@ -22,7 +22,7 @@ from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
 from repro.rl.dqn import DQNConfig
 from repro.serve import DecisionServer, ServeConfig, drive
-from repro.utils.seeding import SeedSequenceFactory
+from repro.utils.seeding import derive_rng
 
 
 def build_agent(*, n_cells=8, replay_capacity=256):
@@ -66,14 +66,12 @@ def build_task(*, dataset_seed=0, assess_rng=None):
 def run_fleet(learner, server, *, n_campaigns=4, n_cycles=4):
     """Drive ``n_campaigns`` concurrent campaigns through one shared learner."""
     config = CampaignConfig(min_cells_per_cycle=2, assess_every=2, history_window=6)
-    seeds = SeedSequenceFactory(0)
     runners, drivers = [], []
     for index in range(n_campaigns):
-        task = build_task(
-            dataset_seed=index, assess_rng=seeds.generator(f"assess-{index}")
-        )
+        # Campaign i's assessor and actor draw from child streams 2i and 2i + 1.
+        task = build_task(dataset_seed=index, assess_rng=derive_rng(0, 2 * index))
         policy = learner.policy(
-            rng=seeds.generator(f"actor-{index}"), campaign=f"campaign-{index}"
+            rng=derive_rng(0, 2 * index + 1), campaign=f"campaign-{index}"
         )
         runner = ServedCampaignRunner(task, config, server=server)
         runners.append(runner)

@@ -22,15 +22,19 @@ from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
 from repro.rl.dqn import DQNConfig
 from repro.serve import DecisionServer, ServeConfig, drive
-from repro.utils.seeding import SeedSequenceFactory
+from repro.utils.seeding import derive_rng
 
 # More cells than max_loo_cells, so every assessment actually draws from
 # the assessor's generator (the subsampling branch is the only RNG consumer).
 N_CELLS = 16
 CONFIG = CampaignConfig(min_cells_per_cycle=3, assess_every=1, history_window=6)
+#: Parent seed of every campaign's child streams.
+STREAM_SEED = 0
+#: Per-campaign integer child streams: (assessor, actor).
+STREAMS = {"A": (0, 1), "B": (2, 3)}
 
 
-def build_task(campaign: str, *, dataset_seed: int, seeds: SeedSequenceFactory):
+def build_task(campaign: str, *, dataset_seed: int):
     dataset = generate_sensorscope(
         "temperature",
         n_cells=N_CELLS,
@@ -46,7 +50,7 @@ def build_task(campaign: str, *, dataset_seed: int, seeds: SeedSequenceFactory):
             min_observations=2,
             max_loo_cells=4,
             history_window=6,
-            rng=seeds.generator(f"assess-{campaign}"),
+            rng=derive_rng(STREAM_SEED, STREAMS[campaign][0]),
         ),
     )
 
@@ -57,8 +61,7 @@ def run_campaigns(campaigns, *, n_cycles=3):
     runners = {}
     drivers = []
     for name, dataset_seed, policy_seed in campaigns:
-        seeds = SeedSequenceFactory(0)
-        task = build_task(name, dataset_seed=dataset_seed, seeds=seeds)
+        task = build_task(name, dataset_seed=dataset_seed)
         runner = ServedCampaignRunner(task, CONFIG, server=server)
         runners[name] = runner
         drivers.append(
@@ -91,9 +94,8 @@ class TestAssessorStreamPartitioning:
         # the server pools them into one batch — but each request's LOO
         # subsample must come from its own campaign's generator, hence
         # per-campaign child streams give different draws.
-        seeds = SeedSequenceFactory(0)
-        a = seeds.generator("assess-A")
-        b = seeds.generator("assess-B")
+        a = derive_rng(STREAM_SEED, STREAMS["A"][0])
+        b = derive_rng(STREAM_SEED, STREAMS["B"][0])
         assert a.bit_generator.state != b.bit_generator.state
 
 
@@ -119,10 +121,9 @@ class TestActorStreamPartitioning:
         runners = {}
         drivers = []
         for name, dataset_seed in campaigns:
-            seeds = SeedSequenceFactory(0)
-            task = build_task(name, dataset_seed=dataset_seed, seeds=seeds)
+            task = build_task(name, dataset_seed=dataset_seed)
             policy = learner.policy(
-                rng=seeds.generator(f"actor-{name}"), campaign=name
+                rng=derive_rng(STREAM_SEED, STREAMS[name][1]), campaign=name
             )
             runner = ServedCampaignRunner(task, CONFIG, server=server)
             runners[name] = runner

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.utils.logging import enable_console_logging, get_logger
-from repro.utils.seeding import SeedSequenceFactory, as_rng, derive_rng
+from repro.utils.seeding import as_rng, derive_rng
 from repro.utils.validation import (
     check_fraction,
     check_matrix,
@@ -43,25 +43,28 @@ class TestSeeding:
         with pytest.raises(ValueError):
             derive_rng(0, -1)
 
-    def test_factory_same_name_same_stream(self):
-        assert (
-            SeedSequenceFactory(1).generator("a").random()
-            == SeedSequenceFactory(1).generator("a").random()
-        )
+    @pytest.mark.parametrize("stream", [0, 1, 10, 97, 999])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_derive_rng_matches_spawned_child(self, seed, stream):
+        """The direct spawn-key child is the spawn(stream + 1)[stream] child."""
+        spawned = np.random.SeedSequence(seed).spawn(stream + 1)[stream]
+        expected = np.random.default_rng(spawned)
+        derived = derive_rng(seed, stream)
+        assert derived.bit_generator.state == expected.bit_generator.state
+        assert derived.random(16).tobytes() == expected.random(16).tobytes()
 
-    def test_factory_order_independent(self):
-        f1 = SeedSequenceFactory(1)
-        f1.generator("x")
-        value_after_other_requests = f1.generator("y").random()
-        f2 = SeedSequenceFactory(1)
-        assert f2.generator("y").random() == value_after_other_requests
-
-    def test_factory_fresh_streams_differ(self):
-        factory = SeedSequenceFactory(0)
-        assert factory.fresh().random() != factory.fresh().random()
-
-    def test_factory_records_seed(self):
-        assert SeedSequenceFactory(11).seed == 11
+    @pytest.mark.parametrize("stream", [0, 1, 10, 97, 999])
+    def test_derive_rng_from_generator_matches_spawned_child(self, stream):
+        child_seed = int(np.random.default_rng(3).integers(0, 2**63 - 1))
+        spawned = np.random.SeedSequence(child_seed).spawn(stream + 1)[stream]
+        expected = np.random.default_rng(spawned)
+        parent = np.random.default_rng(3)
+        derived = derive_rng(parent, stream)
+        assert derived.random(16).tobytes() == expected.random(16).tobytes()
+        # The parent advanced by exactly the one draw that seeded the child.
+        reference = np.random.default_rng(3)
+        reference.integers(0, 2**63 - 1)
+        assert parent.bit_generator.state == reference.bit_generator.state
 
 
 class TestValidation:
