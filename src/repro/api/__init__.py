@@ -36,6 +36,7 @@ from repro.api.registry import (
 if TYPE_CHECKING:  # pragma: no cover - typing aid only
     from repro.api.session import (
         EvaluationRow,
+        ServeResult,
         Session,
         SessionEvaluationReport,
         SessionTrainingReport,
@@ -65,6 +66,7 @@ _SPEC_EXPORTS = (
 )
 _SESSION_EXPORTS = (
     "EvaluationRow",
+    "ServeResult",
     "Session",
     "SessionEvaluationReport",
     "SessionTrainingReport",

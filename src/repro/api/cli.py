@@ -442,7 +442,7 @@ def serve_command(args: argparse.Namespace) -> int:
     obs = build_obs(args)
     session = Session.from_spec(spec)
     session.train(obs=obs)
-    report, stats = session.serve(
+    report, stats, _ = session.serve(
         replicas=replicas, max_batch=max_batch, max_inflight=max_inflight, obs=obs
     )
     _print_serve_report(spec, report, stats)
@@ -459,28 +459,20 @@ def record_command(args: argparse.Namespace) -> int:
     session = Session.from_spec(spec)
     session.train(obs=obs)
     journal = RequestJournal()
-    if args.checkpoint_after is not None:
-        if args.checkpoint is None:
-            print("--checkpoint-after requires --checkpoint PATH", file=sys.stderr)
-            return 2
-        report, stats, checkpoint = session.serve(
-            replicas=replicas,
-            max_batch=max_batch,
-            max_inflight=max_inflight,
-            journal=journal,
-            checkpoint_after=args.checkpoint_after,
-            obs=obs,
-        )
+    if args.checkpoint_after is not None and args.checkpoint is None:
+        print("--checkpoint-after requires --checkpoint PATH", file=sys.stderr)
+        return 2
+    report, stats, checkpoint = session.serve(
+        replicas=replicas,
+        max_batch=max_batch,
+        max_inflight=max_inflight,
+        journal=journal,
+        checkpoint_after=args.checkpoint_after,
+        obs=obs,
+    )
+    if checkpoint is not None:
         checkpoint.save(args.checkpoint)
         print(f"checkpoint (cycle {args.checkpoint_after}) saved to {args.checkpoint}")
-    else:
-        report, stats = session.serve(
-            replicas=replicas,
-            max_batch=max_batch,
-            max_inflight=max_inflight,
-            journal=journal,
-            obs=obs,
-        )
     journal.save(args.journal)
     print(f"journal ({len(journal.events)} events) saved to {args.journal}")
     _print_serve_report(spec, report, stats)
@@ -502,7 +494,7 @@ def resume_command(args: argparse.Namespace) -> int:
     from repro.serve import ServerCheckpoint
 
     checkpoint = ServerCheckpoint.load(args.checkpoint)
-    report, stats = Session.resume_serve(checkpoint)
+    report, stats, _ = Session.resume_serve(checkpoint)
     spec = ScenarioSpec.from_dict(checkpoint.payload["scenario"])
     _print_serve_report(spec, report, stats)
     return 0

@@ -38,7 +38,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import ASSESSORS, DATASETS, INFERENCE, POLICIES, Registry
 from repro.api.specs import ScenarioSpec, SlotSpec
@@ -148,6 +148,17 @@ class SessionEvaluationReport:
 
     def as_dicts(self) -> List[Dict[str, object]]:
         return [row.as_dict() for row in self.rows]
+
+
+class ServeResult(NamedTuple):
+    """Structured result of :meth:`Session.serve` and :meth:`Session.resume_serve`."""
+
+    report: SessionEvaluationReport
+    #: The decision server's :class:`~repro.serve.stats.ServerStats` telemetry.
+    stats: "ServerStats"
+    #: The :class:`~repro.serve.checkpoint.ServerCheckpoint` captured when
+    #: ``serve(checkpoint_after=...)`` stopped early; ``None`` otherwise.
+    checkpoint: Optional["ServerCheckpoint"] = None
 
 
 # -- internal slot state --------------------------------------------------------
@@ -337,7 +348,7 @@ class Session:
         journal: Optional["RequestJournal"] = None,
         checkpoint_after: Optional[int] = None,
         obs: Optional["Observability"] = None,
-    ):
+    ) -> ServeResult:
         """Run every slot's campaign server-backed, through one decision server.
 
         Where :meth:`evaluate` runs one lockstep
@@ -395,12 +406,13 @@ class Session:
 
         Returns
         -------
-        (report, stats):
-            The per-campaign :class:`SessionEvaluationReport` and the
-            server's :class:`~repro.serve.stats.ServerStats` telemetry.
-            With ``checkpoint_after`` set, a third element — the captured
-            :class:`~repro.serve.checkpoint.ServerCheckpoint` — is
-            returned, and the report only covers the completed cycles.
+        ServeResult:
+            ``(report, stats, checkpoint)``: the per-campaign
+            :class:`SessionEvaluationReport`, the server's
+            :class:`~repro.serve.stats.ServerStats` telemetry, and — only
+            with ``checkpoint_after`` set, ``None`` otherwise — the captured
+            :class:`~repro.serve.checkpoint.ServerCheckpoint`, in which case
+            the report only covers the completed cycles.
 
         Notes
         -----
@@ -411,7 +423,7 @@ class Session:
         order than sequential group-by-group evaluation — results are then
         statistically equivalent rather than bitwise identical.
         """
-        from repro.serve import DecisionServer, ServeConfig, drive
+        from repro.serve import DecisionServer, ServeConfig
 
         check_positive_int(replicas, "replicas")
         if server is not None and any(
@@ -447,64 +459,23 @@ class Session:
             journal.record_header(scenario=self.spec.to_dict(), serve=serve_knobs)
         if obs is not None and obs.tracer is not None:
             server.attach_tracer(obs.tracer)
-        config = self.campaign_config()
-        report = SessionEvaluationReport()
-
         launches = self._serve_launches(
             server,
-            config,
+            self.campaign_config(),
             n_cycles=n_cycles,
             replicas=replicas,
             stop_cycle=checkpoint_after,
         )
-
-        drivers = [driver for _, _, driver in launches]
-        if obs is not None:
-            with obs.profiling():
-                drive(
-                    server,
-                    drivers,
-                    on_barrier=lambda: obs.on_cycle_barrier(server),
-                )
-        else:
-            drive(server, drivers)
-
-        checkpoint = None
+        checkpoint_extra = None
         if checkpoint_after is not None:
-            from repro.serve.checkpoint import ServerCheckpoint
-
-            checkpoint = ServerCheckpoint.capture(
-                server,
-                scenario=self.spec.to_dict(),
-                serve=serve_knobs,
-                cycle=checkpoint_after,
-                launches=[
-                    {
-                        "labels": [label for label, _ in labelled],
-                        "slot_states": runner.slot_states(),
-                    }
-                    for labelled, runner, _ in launches
-                ],
-            )
-
-        for labelled, runner, _ in launches:
-            for (label, slot), outcome in zip(labelled, runner.results):
-                self._record_evaluation(report, label, slot, outcome)
-        if journal is not None:
-            journal.finalize(server.stats)
-        if obs is not None:
-            obs.observe_server(server.stats)
-            self._observe_solvers(obs)
-            obs.finalize()
-        logger.info(
-            "scenario %s served %d campaign(s): %s",
-            self.spec.name,
-            len(report.rows),
-            server.stats.as_dict(),
+            checkpoint_extra = {
+                "scenario": self.spec.to_dict(),
+                "serve": serve_knobs,
+                "cycle": checkpoint_after,
+            }
+        return self._drive_served(
+            server, launches, journal=journal, obs=obs, checkpoint=checkpoint_extra
         )
-        if checkpoint is not None:
-            return report, server.stats, checkpoint
-        return report, server.stats
 
     @classmethod
     def resume_serve(
@@ -512,7 +483,7 @@ class Session:
         checkpoint: "ServerCheckpoint",
         *,
         journal: Optional["RequestJournal"] = None,
-    ) -> Tuple[SessionEvaluationReport, "ServerStats"]:
+    ) -> ServeResult:
         """Finish a serving session from a :meth:`serve` ``checkpoint_after`` capture.
 
         The session is rebuilt from the checkpoint's scenario spec and
@@ -521,7 +492,8 @@ class Session:
         server is restored from the checkpointed clock/batcher/cache/stats,
         every campaign is rebuilt and restored mid-flight from its slot
         state, and the remaining cycles are driven.  The final report and
-        telemetry are bitwise identical to an uninterrupted run's.
+        telemetry are bitwise identical to an uninterrupted run's; the
+        result's ``checkpoint`` is ``None``.
 
         ``journal`` (optional) records the resumed tail — no header event,
         since the events continue a recorded session rather than start one.
@@ -537,8 +509,8 @@ class Session:
         checkpoint: "ServerCheckpoint",
         *,
         journal: Optional["RequestJournal"] = None,
-    ) -> Tuple[SessionEvaluationReport, "ServerStats"]:
-        from repro.serve import DecisionServer, ServeConfig, drive
+    ) -> ServeResult:
+        from repro.serve import DecisionServer, ServeConfig
 
         payload = checkpoint.payload
         knobs = payload["serve"]
@@ -552,12 +524,9 @@ class Session:
         )
         if journal is not None:
             server.attach_journal(journal)
-        config = self.campaign_config()
-        report = SessionEvaluationReport()
-
         launches = self._serve_launches(
             server,
-            config,
+            self.campaign_config(),
             n_cycles=int(knobs["n_cycles"]),
             replicas=int(knobs["replicas"]),
             start_cycle=int(payload["cycle"]),
@@ -565,25 +534,72 @@ class Session:
         )
         # Restore the server after the policies are built (fresh learners
         # publish an initial version into their stores at construction; the
-        # slot-state restore inside each launch overwrites that) but before
-        # the drive consumes the clock.
+        # slot-state restore at each launch's first step overwrites that)
+        # but before the drive consumes the clock.
         checkpoint.restore(server)
+        return self._drive_served(server, launches, journal=journal)
 
-        drive(server, [driver for _, _, driver in launches])
+    def _drive_served(
+        self,
+        server: "DecisionServer",
+        launches: List[Tuple[List[Tuple[str, "_Slot"]], Any, Any]],
+        *,
+        journal: Optional["RequestJournal"] = None,
+        obs: Optional["Observability"] = None,
+        checkpoint: Optional[Dict[str, Any]] = None,
+    ) -> ServeResult:
+        """Drive the launches, then collect, record and finalize the session.
 
+        ``checkpoint`` (the session-level checkpoint entries) requests a
+        :class:`~repro.serve.checkpoint.ServerCheckpoint` capture at the
+        drive's end, with every launch's slot states.
+        """
+        from repro.serve import drive
+
+        drivers = [driver for _, _, driver in launches]
+        if obs is not None:
+            with obs.profiling():
+                drive(
+                    server,
+                    drivers,
+                    on_barrier=lambda: obs.on_cycle_barrier(server),
+                )
+        else:
+            drive(server, drivers)
+
+        captured = None
+        if checkpoint is not None:
+            from repro.serve.checkpoint import ServerCheckpoint
+
+            captured = ServerCheckpoint.capture(
+                server,
+                **checkpoint,
+                launches=[
+                    {
+                        "labels": [label for label, _ in labelled],
+                        "slot_states": runner.slot_states(),
+                    }
+                    for labelled, runner, _ in launches
+                ],
+            )
+
+        report = SessionEvaluationReport()
         for labelled, runner, _ in launches:
             for (label, slot), outcome in zip(labelled, runner.results):
                 self._record_evaluation(report, label, slot, outcome)
         if journal is not None:
             journal.finalize(server.stats)
+        if obs is not None:
+            obs.observe_server(server.stats)
+            self._observe_solvers(obs)
+            obs.finalize()
         logger.info(
-            "scenario %s resumed %d campaign(s) from cycle %d: %s",
+            "scenario %s served %d campaign(s): %s",
             self.spec.name,
             len(report.rows),
-            int(payload["cycle"]),
             server.stats.as_dict(),
         )
-        return report, server.stats
+        return ServeResult(report, server.stats, captured)
 
     def _observe_solvers(self, obs: "Observability") -> None:
         """Mirror the slots' ALS solver counters into ``obs``, summed per backend.

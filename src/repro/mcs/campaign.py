@@ -1,6 +1,6 @@
-"""The Sparse MCS campaign runner: the cycle loop of Figure 2.
+"""The Sparse MCS campaign: the cycle loop of Figure 2, written once.
 
-For every sensing cycle the runner asks the selection policy for cells one
+For every sensing cycle the loop asks the selection policy for cells one
 by one, reveals their ground-truth values ("a participant submits data"),
 and after each submission asks the quality assessor whether the cycle now
 satisfies the (ε, p)-quality requirement.  When it does (or when every cell
@@ -8,12 +8,27 @@ has been sensed) the remaining cells are inferred and the campaign moves to
 the next cycle.  The true per-cycle inference error is recorded against the
 ground truth so the evaluation can verify the quality guarantee was really
 met.
+
+:func:`_cycle_loop` is that loop, as a generator over any number of
+lockstep slots.  It delegates four phases — select, assess the due slots,
+complete the end-of-cycle windows, and the end-of-cycle hand-off — to an
+*executor*; the runners differ only in the executor they supply:
+
+* :class:`CampaignRunner` — exact-sequential: one ``assess`` and one
+  ``complete`` call per slot, the paper's Gauss–Seidel ALS;
+* :class:`BatchedCampaignRunner` — pooled: one ``assess_many`` and one
+  ``complete_batch`` call per equivalence class (:func:`_assess_pooled`,
+  :func:`_complete_pooled`);
+* :class:`~repro.mcs.served.ServedCampaignRunner` — served: each phase
+  becomes server requests, and the loop yields until they resolve.  The
+  server answers them with the same pooled helpers, which is why served
+  results equal pooled results bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -176,8 +191,336 @@ class CampaignConfig:
                 )
 
 
+class _AssessQuery(NamedTuple):
+    """One pooled-assessment request (the fields ``assess_many`` consumes)."""
+
+    assessor: Any
+    inference: Any
+    observed: np.ndarray
+    cycle: int
+    requirement: Any
+
+
+class _CompleteQuery(NamedTuple):
+    """One pooled-completion request."""
+
+    inference: Any
+    matrix: np.ndarray
+
+
+def _itself(value):
+    return value
+
+
+def _assess_pooled(items, query=_itself, *, cached=_itself, fail=None) -> List:
+    """Verdicts for ``items``, one ``assess_many`` call per pooling class.
+
+    ``query(item)`` exposes the :class:`_AssessQuery` fields.  Items pool by
+    (assessor, inference) *equivalence*, not identity, in first-seen order,
+    so distinct but equivalently configured per-slot instances share one
+    batched solve.  The representative runs the pass through
+    ``cached(inference)``, but each item draws from its *own* assessor's
+    RNG stream, so its randomness does not depend on who shares its batch.
+    A group whose call raises goes to ``fail(group_items, error)`` and its
+    verdicts stay ``None``; without ``fail`` the error propagates.
+    """
+    queries = [query(item) for item in items]
+    verdicts: List = [None] * len(queries)
+    groups = _group_by_equivalence(
+        range(len(queries)),
+        lambda i, j: _equivalent_assessor(queries[i].assessor, queries[j].assessor)
+        and _equivalent_inference(queries[i].inference, queries[j].inference),
+    )
+    for group in groups:
+        members = [queries[index] for index in group]
+        lead = members[0]
+        try:
+            answers = lead.assessor.assess_many(
+                [member.observed for member in members],
+                [member.cycle for member in members],
+                [member.requirement for member in members],
+                cached(lead.inference),
+                rngs=[getattr(member.assessor, "rng", None) for member in members],
+            )
+        except Exception as error:
+            if fail is None:
+                raise
+            fail([items[index] for index in group], error)
+            continue
+        for index, answer in zip(group, answers):
+            verdicts[index] = answer
+    return verdicts
+
+
+def _complete_pooled(items, query=_itself, *, cached=_itself, fail=None) -> List:
+    """Completed matrices for ``items``, one ``complete_batch`` per inference class.
+
+    The counterpart of :func:`_assess_pooled` for :class:`_CompleteQuery`
+    fields, under the same ``cached`` / ``fail`` contract.
+    """
+    queries = [query(item) for item in items]
+    completed: List = [None] * len(queries)
+    groups = _group_by_equivalence(
+        range(len(queries)),
+        lambda i, j: _equivalent_inference(queries[i].inference, queries[j].inference),
+    )
+    for group in groups:
+        inference = cached(queries[group[0]].inference)
+        try:
+            matrices = inference.complete_batch([queries[index].matrix for index in group])
+        except Exception as error:
+            if fail is None:
+                raise
+            fail([items[index] for index in group], error)
+            continue
+        for index, matrix in zip(group, matrices):
+            completed[index] = matrix
+    return completed
+
+
+@dataclass
+class _CampaignSlot:
+    """Mutable per-(task, policy) state of one lockstep campaign slot."""
+
+    task: SensingTask
+    policy: CellSelectionPolicy
+    observed: np.ndarray
+    inferred: np.ndarray
+    result: CampaignResult
+    sensed_mask: np.ndarray
+    selected_order: List[int] = field(default_factory=list)
+    assessed_satisfied: bool = False
+    #: Tenant (campaign) id the serving layer tags this slot's requests with;
+    #: the direct runners never read it.
+    tenant: str = "default"
+
+    @property
+    def n_selected(self) -> int:
+        return len(self.selected_order)
+
+
+def _open_slots(
+    tasks: Sequence[SensingTask],
+    policies: Sequence[CellSelectionPolicy],
+    n_cycles: Optional[int],
+    **metadata: Any,
+) -> Tuple[List[_CampaignSlot], int]:
+    """Fresh slots pairing tasks with policies, and the clamped cycle budget.
+
+    One task is shared by every policy; otherwise ``policies[i]`` runs
+    against ``tasks[i]``.  ``metadata`` extends every result's metadata.
+    """
+    if not policies:
+        raise ValueError("at least one policy is required")
+    tasks = list(tasks)
+    if len(tasks) == 1 and len(policies) > 1:
+        tasks = tasks * len(policies)
+    if len(tasks) != len(policies):
+        raise ValueError(
+            f"{len(policies)} policies for {len(tasks)} tasks; provide one task "
+            "(shared) or exactly one task per policy"
+        )
+    dataset = tasks[0].dataset
+    total_cycles = dataset.n_cycles if n_cycles is None else min(
+        check_positive_int(n_cycles, "n_cycles"), dataset.n_cycles
+    )
+    n_cells = dataset.n_cells
+    slots = [
+        _CampaignSlot(
+            task=task,
+            policy=policy,
+            observed=np.full((n_cells, total_cycles), np.nan),
+            inferred=np.full((n_cells, total_cycles), np.nan),
+            result=CampaignResult(
+                policy_name=policy.name,
+                requirement=task.requirement,
+                n_cells=n_cells,
+                metadata={"dataset": dataset.name, "n_cycles": total_cycles, **metadata},
+            ),
+            sensed_mask=np.zeros(n_cells, dtype=bool),
+        )
+        for task, policy in zip(tasks, policies)
+    ]
+    return slots, total_cycles
+
+
+def _settle(answers: List) -> Iterator[None]:
+    """Yield once if any answer is deferred, then return them all resolved.
+
+    An executor answers each slot with a value or with a zero-argument
+    callable that returns it once the server has run (a pending future's
+    ``result``).  Direct executors never defer, so their loop never yields.
+    """
+    if any(callable(answer) for answer in answers):
+        yield
+        answers = [answer() if callable(answer) else answer for answer in answers]
+    return answers
+
+
+def _cycle_loop(
+    slots: List[_CampaignSlot], config: CampaignConfig, cycles: range, executor
+) -> Iterator:
+    """The campaign cycle loop of Figure 2, for any number of lockstep slots.
+
+    Every cycle each active slot selects a cell (``executor.select``), the
+    loop reveals it, and every slot due under the ``assess_every`` cadence is
+    assessed (``executor.assess``); a slot stops once its assessor is
+    satisfied or it hits the cell cap.  The not-fully-sensed slots' windows
+    are then completed (``executor.complete``), each slot's true error is
+    recorded, and ``executor.hand_off`` closes the cycle.  The executor
+    decides *how* each phase computes; the loop is a generator so the served
+    executor can yield to its server between phases.
+    """
+    dataset = slots[0].task.dataset
+    ground_truth = dataset.data
+    n_cells = dataset.n_cells
+    max_cells = min(config.max_cells_per_cycle or n_cells, n_cells)
+    min_cells = min(config.min_cells_per_cycle, max_cells)
+
+    for cycle in cycles:
+        for slot in slots:
+            slot.policy.begin_cycle(cycle, slot.observed)
+            slot.sensed_mask = np.zeros(n_cells, dtype=bool)
+            slot.selected_order = []
+            slot.assessed_satisfied = False
+
+        # Submission rounds.  Slots are independent, so a slot's selection
+        # never depends on another slot's reveal within the round.
+        active = list(slots)
+        while active:
+            cells = yield from _settle(executor.select(active, cycle))
+            for slot, cell in zip(active, cells):
+                cell = CellSelectionPolicy._validate_selection(cell, slot.sensed_mask)
+                slot.sensed_mask[cell] = True
+                slot.selected_order.append(cell)
+                slot.observed[cell, cycle] = ground_truth[cell, cycle]
+            due = [
+                slot
+                for slot in active
+                if slot.n_selected >= min_cells
+                and (slot.n_selected - min_cells) % config.assess_every == 0
+            ]
+            if due:
+                verdicts = yield from _settle(executor.assess(due, cycle))
+                for slot, verdict in zip(due, verdicts):
+                    if verdict:
+                        slot.assessed_satisfied = True
+            active = [
+                slot
+                for slot in active
+                if not slot.assessed_satisfied and slot.n_selected < max_cells
+            ]
+
+        # End-of-cycle inference; a fully sensed cycle needs none.
+        start = max(0, cycle + 1 - config.history_window)
+        pending = []
+        for slot in slots:
+            if slot.sensed_mask.all():
+                slot.inferred[:, cycle] = ground_truth[:, cycle]
+            else:
+                pending.append(slot)
+        if pending:
+            windows = [slot.observed[:, start : cycle + 1] for slot in pending]
+            completed = yield from _settle(executor.complete(pending, windows))
+            for slot, matrix in zip(pending, completed):
+                slot.inferred[:, cycle] = matrix[:, matrix.shape[1] - 1]
+
+        for slot in slots:
+            slot.policy.end_cycle(cycle, slot.observed)
+            slot.result.add_record(
+                CycleRecord(
+                    cycle=cycle,
+                    selected_cells=tuple(slot.selected_order),
+                    true_error=float(
+                        slot.task.requirement.column_error(
+                            ground_truth[:, cycle],
+                            slot.inferred[:, cycle],
+                            exclude=slot.sensed_mask,
+                        )
+                    ),
+                    assessed_satisfied=slot.assessed_satisfied,
+                )
+            )
+        yield from executor.hand_off(slots, cycle)
+
+    for slot in slots:
+        slot.result.inferred_matrix = slot.inferred
+
+
+def _run_direct(slots, config, cycles, executor) -> List[CampaignResult]:
+    """Drive the cycle loop to exhaustion (direct executors never yield)."""
+    for _ in _cycle_loop(slots, config, cycles, executor):
+        pass
+    return [slot.result for slot in slots]
+
+
+class _SequentialExecutor:
+    """Exact-sequential phases: one ``assess`` and one ``complete`` call per slot.
+
+    The paper's protocol verbatim: each completion runs the algorithm's own
+    (Gauss–Seidel, for ALS) solver, so a slot's results never depend on
+    which other slots share its cycle.
+    """
+
+    def select(self, active, cycle):
+        return [
+            slot.policy.select_cell(slot.observed, cycle, slot.sensed_mask)
+            for slot in active
+        ]
+
+    def assess(self, due, cycle):
+        return [
+            slot.task.assessor.assess(
+                slot.observed[:, : cycle + 1],
+                cycle,
+                slot.task.requirement,
+                slot.task.inference,
+            )
+            for slot in due
+        ]
+
+    def complete(self, pending, windows):
+        return [
+            slot.task.inference.complete(window)
+            for slot, window in zip(pending, windows)
+        ]
+
+    def hand_off(self, slots, cycle):
+        return ()
+
+
+class _PooledExecutor(_SequentialExecutor):
+    """Pooled phases: one ``assess_many`` / ``complete_batch`` per equivalence class."""
+
+    def assess(self, due, cycle):
+        return _assess_pooled(
+            [
+                _AssessQuery(
+                    slot.task.assessor,
+                    slot.task.inference,
+                    slot.observed[:, : cycle + 1],
+                    cycle,
+                    slot.task.requirement,
+                )
+                for slot in due
+            ]
+        )
+
+    def complete(self, pending, windows):
+        return _complete_pooled(
+            [
+                _CompleteQuery(slot.task.inference, window)
+                for slot, window in zip(pending, windows)
+            ]
+        )
+
+
 class CampaignRunner:
-    """Runs a full Sparse MCS campaign for one task and one selection policy."""
+    """Runs a full Sparse MCS campaign for one task and one selection policy.
+
+    The exact-sequential executor of the cycle loop: every assessment and
+    completion is one direct call on the task's components.
+    """
 
     def __init__(self, task: SensingTask, config: Optional[CampaignConfig] = None) -> None:
         self.task = task
@@ -195,117 +538,11 @@ class CampaignRunner:
             Optionally restrict the campaign to the first ``n_cycles`` cycles
             of the task's dataset (used by tests and quick examples).
         """
-        dataset = self.task.dataset
-        total_cycles = dataset.n_cycles if n_cycles is None else min(
-            check_positive_int(n_cycles, "n_cycles"), dataset.n_cycles
+        slots, total_cycles = _open_slots([self.task], [policy], n_cycles)
+        (result,) = _run_direct(
+            slots, self.config, range(total_cycles), _SequentialExecutor()
         )
-        n_cells = dataset.n_cells
-        max_cells = self.config.max_cells_per_cycle or n_cells
-        max_cells = min(max_cells, n_cells)
-        min_cells = min(self.config.min_cells_per_cycle, max_cells)
-
-        ground_truth = dataset.data
-        observed = np.full((n_cells, total_cycles), np.nan)
-        inferred = np.full((n_cells, total_cycles), np.nan)
-        result = CampaignResult(
-            policy_name=policy.name,
-            requirement=self.task.requirement,
-            n_cells=n_cells,
-            metadata={"dataset": dataset.name, "n_cycles": total_cycles},
-        )
-
-        for cycle in range(total_cycles):
-            policy.begin_cycle(cycle, observed)
-            sensed_mask = np.zeros(n_cells, dtype=bool)
-            selected_order = []
-            assessed_satisfied = False
-
-            while sensed_mask.sum() < max_cells:
-                cell = policy.select_cell(observed, cycle, sensed_mask)
-                cell = CellSelectionPolicy._validate_selection(cell, sensed_mask)
-                sensed_mask[cell] = True
-                selected_order.append(cell)
-                observed[cell, cycle] = ground_truth[cell, cycle]
-
-                n_selected = int(sensed_mask.sum())
-                if n_selected < min_cells:
-                    continue
-                if (n_selected - min_cells) % self.config.assess_every != 0:
-                    continue
-                if self.task.assessor.assess(
-                    observed[:, : cycle + 1], cycle, self.task.requirement, self.task.inference
-                ):
-                    assessed_satisfied = True
-                    break
-
-            true_error, cycle_estimate = self._finalize_cycle(
-                observed, ground_truth, cycle, sensed_mask
-            )
-            inferred[:, cycle] = cycle_estimate
-            policy.end_cycle(cycle, observed)
-            result.add_record(
-                CycleRecord(
-                    cycle=cycle,
-                    selected_cells=tuple(selected_order),
-                    true_error=true_error,
-                    assessed_satisfied=assessed_satisfied,
-                )
-            )
-            logger.debug(
-                "cycle %d: %d cells selected, error=%.4f, assessed=%s",
-                cycle,
-                len(selected_order),
-                true_error,
-                assessed_satisfied,
-            )
-
-        result.inferred_matrix = inferred
         return result
-
-    # -- internals -------------------------------------------------------------
-
-    def _finalize_cycle(
-        self,
-        observed: np.ndarray,
-        ground_truth: np.ndarray,
-        cycle: int,
-        sensed_mask: np.ndarray,
-    ) -> tuple[float, np.ndarray]:
-        """Infer the unsensed cells of ``cycle`` and measure the true error."""
-        start = max(0, cycle + 1 - self.config.history_window)
-        window = observed[:, start : cycle + 1]
-        current = window.shape[1] - 1
-        if sensed_mask.all():
-            estimate = ground_truth[:, cycle].copy()
-        else:
-            completed = self.task.inference.complete(window)
-            estimate = completed[:, current]
-        error = self.task.requirement.column_error(
-            ground_truth[:, cycle], estimate, exclude=sensed_mask
-        )
-        return float(error), estimate
-
-
-@dataclass
-class _CampaignSlot:
-    """Mutable per-(task, policy) state of one lockstep campaign slot."""
-
-    task: SensingTask
-    policy: CellSelectionPolicy
-    observed: np.ndarray
-    inferred: np.ndarray
-    result: CampaignResult
-    sensed_mask: np.ndarray
-    selected_order: List[int] = field(default_factory=list)
-    assessed_satisfied: bool = False
-    active: bool = False
-    #: Tenant (campaign) id the serving layer tags this slot's requests with;
-    #: the direct runners never read it.
-    tenant: str = "default"
-
-    @property
-    def n_selected(self) -> int:
-        return len(self.selected_order)
 
 
 class BatchedCampaignRunner:
@@ -315,14 +552,15 @@ class BatchedCampaignRunner:
     policies — and often several requirement settings — over the *same*
     dataset.  Running them one :class:`CampaignRunner` at a time repeats the
     dominant cost, the per-submission quality assessment, P times over.  This
-    runner instead steps every campaign slot through the cycle loop together:
+    runner instead steps every campaign slot through the cycle loop together
+    with the pooled executor:
 
-    * after each lockstep submission round, all due slots are assessed in one
-      :meth:`~repro.quality.loo_bayesian.QualityAssessor.assess_many` call,
-      which pools every slot's LOO completions into a single
-      ``complete_batch`` solve;
+    * after each lockstep submission round, all due slots are assessed with
+      one :meth:`~repro.quality.loo_bayesian.QualityAssessor.assess_many`
+      call per (assessor, inference) equivalence class, which pools every
+      slot's LOO completions into a single ``complete_batch`` solve;
     * at the end of each cycle, the not-fully-sensed slots' final inference
-      windows are completed in one batched call as well.
+      windows are completed with one batched call per inference class.
 
     Each slot's campaign semantics are unchanged — a slot stops sensing as
     soon as *its* assessor is satisfied, and records the same per-cycle
@@ -374,146 +612,5 @@ class BatchedCampaignRunner:
         With one task and P policies, every policy runs against that task;
         otherwise ``policies[i]`` runs against ``tasks[i]``.
         """
-        if not policies:
-            raise ValueError("at least one policy is required")
-        tasks = self.tasks
-        if len(tasks) == 1 and len(policies) > 1:
-            tasks = tasks * len(policies)
-        if len(tasks) != len(policies):
-            raise ValueError(
-                f"{len(policies)} policies for {len(tasks)} tasks; provide one task "
-                "(shared) or exactly one task per policy"
-            )
-
-        dataset = tasks[0].dataset
-        total_cycles = dataset.n_cycles if n_cycles is None else min(
-            check_positive_int(n_cycles, "n_cycles"), dataset.n_cycles
-        )
-        n_cells = dataset.n_cells
-        max_cells = self.config.max_cells_per_cycle or n_cells
-        max_cells = min(max_cells, n_cells)
-        min_cells = min(self.config.min_cells_per_cycle, max_cells)
-        ground_truth = dataset.data
-
-        slots = [
-            _CampaignSlot(
-                task=task,
-                policy=policy,
-                observed=np.full((n_cells, total_cycles), np.nan),
-                inferred=np.full((n_cells, total_cycles), np.nan),
-                result=CampaignResult(
-                    policy_name=policy.name,
-                    requirement=task.requirement,
-                    n_cells=n_cells,
-                    metadata={"dataset": dataset.name, "n_cycles": total_cycles},
-                ),
-                sensed_mask=np.zeros(n_cells, dtype=bool),
-            )
-            for task, policy in zip(tasks, policies)
-        ]
-
-        for cycle in range(total_cycles):
-            for slot in slots:
-                slot.policy.begin_cycle(cycle, slot.observed)
-                slot.sensed_mask = np.zeros(n_cells, dtype=bool)
-                slot.selected_order = []
-                slot.assessed_satisfied = False
-                slot.active = True
-
-            while True:
-                active = [slot for slot in slots if slot.active]
-                if not active:
-                    break
-                for slot in active:
-                    cell = slot.policy.select_cell(slot.observed, cycle, slot.sensed_mask)
-                    cell = CellSelectionPolicy._validate_selection(cell, slot.sensed_mask)
-                    slot.sensed_mask[cell] = True
-                    slot.selected_order.append(cell)
-                    slot.observed[cell, cycle] = ground_truth[cell, cycle]
-                self._assess_due_slots(active, cycle, min_cells)
-                for slot in active:
-                    if slot.active and slot.n_selected >= max_cells:
-                        slot.active = False
-
-            self._finalize_cycle(slots, ground_truth, cycle)
-            for slot in slots:
-                slot.policy.end_cycle(cycle, slot.observed)
-                slot.result.add_record(
-                    CycleRecord(
-                        cycle=cycle,
-                        selected_cells=tuple(slot.selected_order),
-                        true_error=float(
-                            slot.task.requirement.column_error(
-                                ground_truth[:, cycle],
-                                slot.inferred[:, cycle],
-                                exclude=slot.sensed_mask,
-                            )
-                        ),
-                        assessed_satisfied=slot.assessed_satisfied,
-                    )
-                )
-
-        for slot in slots:
-            slot.result.inferred_matrix = slot.inferred
-        return [slot.result for slot in slots]
-
-    # -- internals -------------------------------------------------------------
-
-    def _assess_due_slots(
-        self, active: List[_CampaignSlot], cycle: int, min_cells: int
-    ) -> None:
-        """Batch-assess every active slot that is due after this submission round."""
-        due = [
-            slot
-            for slot in active
-            if slot.n_selected >= min_cells
-            and (slot.n_selected - min_cells) % self.config.assess_every == 0
-        ]
-        # Pool by (assessor, inference) *equivalence*, not identity: slots
-        # sharing a task pool trivially, and slots carrying distinct but
-        # equivalently configured instances (the normal case when a scenario
-        # spec constructs one instance per slot) share the batched solve too.
-        groups = _group_by_equivalence(
-            due,
-            lambda a, b: _equivalent_assessor(a.task.assessor, b.task.assessor)
-            and _equivalent_inference(a.task.inference, b.task.inference),
-        )
-        for group in groups:
-            # Per-slot RNG partitioning: the representative runs the pooled
-            # pass, but each slot's subsampling draws come from its own
-            # assessor's stream (slots sharing one instance share one stream,
-            # consumed in slot order — identical to the pre-partitioning
-            # behaviour).
-            verdicts = group[0].task.assessor.assess_many(
-                [slot.observed[:, : cycle + 1] for slot in group],
-                [cycle] * len(group),
-                [slot.task.requirement for slot in group],
-                group[0].task.inference,
-                rngs=[getattr(slot.task.assessor, "rng", None) for slot in group],
-            )
-            for slot, verdict in zip(group, verdicts):
-                if verdict:
-                    slot.assessed_satisfied = True
-                    slot.active = False
-
-    def _finalize_cycle(
-        self, slots: List[_CampaignSlot], ground_truth: np.ndarray, cycle: int
-    ) -> None:
-        """Infer every slot's unsensed cells for ``cycle``, batched per algorithm."""
-        start = max(0, cycle + 1 - self.config.history_window)
-        needs_completion: List[_CampaignSlot] = []
-        for slot in slots:
-            if slot.sensed_mask.all():
-                slot.inferred[:, cycle] = ground_truth[:, cycle]
-            else:
-                needs_completion.append(slot)
-        groups = _group_by_equivalence(
-            needs_completion,
-            lambda a, b: _equivalent_inference(a.task.inference, b.task.inference),
-        )
-        for group in groups:
-            inference = group[0].task.inference
-            windows = [slot.observed[:, start : cycle + 1] for slot in group]
-            completed_windows = inference.complete_batch(windows)
-            for slot, completed in zip(group, completed_windows):
-                slot.inferred[:, cycle] = completed[:, completed.shape[1] - 1]
+        slots, total_cycles = _open_slots(self.tasks, policies, n_cycles)
+        return _run_direct(slots, self.config, range(total_cycles), _PooledExecutor())

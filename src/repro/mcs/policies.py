@@ -15,7 +15,16 @@ import numpy as np
 
 
 class CellSelectionPolicy(abc.ABC):
-    """Abstract cell-selection policy used by :class:`~repro.mcs.campaign.CampaignRunner`."""
+    """Abstract cell-selection policy driven by the campaign cycle loop.
+
+    Every runner (:class:`~repro.mcs.campaign.CampaignRunner`,
+    :class:`~repro.mcs.campaign.BatchedCampaignRunner`,
+    :class:`~repro.mcs.served.ServedCampaignRunner`) calls the hooks in the
+    same order: ``begin_cycle``, then ``select_cell`` once per submission
+    until the cycle stops, then ``end_cycle``.  The served runner answers
+    agent-backed policies' queries on the server instead of calling
+    ``select_cell``.
+    """
 
     #: Short display name used in experiment reports.
     name: str = "policy"

@@ -1,28 +1,29 @@
-"""Server-backed campaigns: the lockstep cycle loop against a :class:`DecisionServer`.
+"""Server-backed campaigns: the campaign cycle loop against a :class:`DecisionServer`.
 
-:class:`ServedCampaignRunner` runs the exact campaign protocol of
-:class:`~repro.mcs.campaign.BatchedCampaignRunner` — the same submission
-rounds, the same assessment cadence, the same per-cycle records — but routes
-every batched decision through a shared :class:`~repro.serve.server.
-DecisionServer` instead of calling the components directly:
+:class:`ServedCampaignRunner` drives the one campaign cycle loop of
+:mod:`repro.mcs.campaign` — the same submission rounds, the same assessment
+cadence, the same per-cycle records as
+:class:`~repro.mcs.campaign.BatchedCampaignRunner` — with the *served*
+executor, which routes every phase through a shared
+:class:`~repro.serve.server.DecisionServer` instead of calling the
+components directly:
 
 * DR-Cell policy queries become ``select_cell`` requests (one stacked
   Q-network forward for every pending query against a shared agent; other
   policies keep selecting locally, they are cheap);
-* due-slot quality assessments become ``assess_quality`` requests (grouped
-  by the same (assessor, inference) equivalence classes, answered with one
-  pooled ``assess_many`` per class);
-* end-of-cycle completions become ``complete_matrix`` requests (one
-  ``complete_batch`` per inference class);
+* due-slot quality assessments become ``assess_quality`` requests;
+* end-of-cycle completions become ``complete_matrix`` requests;
 * for served online policies (:class:`~repro.learner.actor.ActorPolicy`),
-  each finished cycle's transitions are shipped to the central learner as a
-  ``learn_batch`` request, resolved before the next cycle's selections are
-  submitted.
+  the end-of-cycle hand-off ships each finished cycle's transitions to the
+  central learner as a ``learn_batch`` request, resolved before the next
+  cycle's selections are submitted.
 
-Because requests are submitted in slot order and the server processes each
-batch FIFO with the same equivalence grouping, a single runner driven alone
-against a server reproduces the direct ``BatchedCampaignRunner`` results —
-bitwise, including the shared assessor's RNG stream (the completion cache
+Requests are submitted in slot order, the server processes each batch FIFO,
+and it answers assessments and completions with the pooled executor's own
+helpers (:func:`~repro.mcs.campaign._assess_pooled`,
+:func:`~repro.mcs.campaign._complete_pooled`).  A single runner driven alone
+against a server therefore reproduces the direct ``BatchedCampaignRunner``
+results bitwise, including every assessor's RNG stream (the completion cache
 returns exactly what a recomputation would, since the batched solvers are
 batch-composition independent).
 
@@ -41,14 +42,15 @@ reproduction matters.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterator, List, Optional, Sequence
 
 from repro.mcs.campaign import (
     BatchedCampaignRunner,
     CampaignConfig,
     _CampaignSlot,
+    _cycle_loop,
+    _open_slots,
+    _settle,
 )
 from repro.mcs.policies import CellSelectionPolicy
 from repro.mcs.results import CampaignResult, CycleRecord
@@ -128,10 +130,12 @@ class ServedCampaignRunner(BatchedCampaignRunner):
 
         The returned generator submits one *phase* of server requests at a
         time (a submission round's policy queries, then its due
-        assessments, then — per cycle — the final completions) and yields
-        whenever submitted futures must resolve before it can continue.
-        Advance it with :func:`repro.serve.server.drive`, interleaved with
-        any other runners sharing the server.
+        assessments, then — per cycle — the final completions and learn
+        batches) and yields whenever submitted futures must resolve before
+        it can continue.  Advance it with :func:`repro.serve.server.drive`,
+        interleaved with any other runners sharing the server.  Arguments
+        are validated here, before the generator is returned, so a bad
+        launch fails before any co-driven runner submits a request.
 
         Parameters
         ----------
@@ -149,71 +153,13 @@ class ServedCampaignRunner(BatchedCampaignRunner):
             cycle records, policy and assessor state) before the first
             resumed cycle runs.
         """
-        self._results = None
-        return self._launch(
-            policies, n_cycles, tenants, start_cycle, stop_cycle, slot_states
-        )
-
-    # -- internals ---------------------------------------------------------------
-
-    def _launch(
-        self,
-        policies: Sequence[CellSelectionPolicy],
-        n_cycles: Optional[int],
-        tenants: Optional[Sequence[str]] = None,
-        start_cycle: int = 0,
-        stop_cycle: Optional[int] = None,
-        slot_states: Optional[Sequence[Optional[dict]]] = None,
-    ) -> Iterator[None]:
-        if not policies:
-            raise ValueError("at least one policy is required")
-        tasks = self.tasks
-        if len(tasks) == 1 and len(policies) > 1:
-            tasks = tasks * len(policies)
-        if len(tasks) != len(policies):
-            raise ValueError(
-                f"{len(policies)} policies for {len(tasks)} tasks; provide one task "
-                "(shared) or exactly one task per policy"
-            )
-
-        dataset = tasks[0].dataset
-        total_cycles = dataset.n_cycles if n_cycles is None else min(
-            check_positive_int(n_cycles, "n_cycles"), dataset.n_cycles
-        )
-        n_cells = dataset.n_cells
-        max_cells = self.config.max_cells_per_cycle or n_cells
-        max_cells = min(max_cells, n_cells)
-        min_cells = min(self.config.min_cells_per_cycle, max_cells)
-        ground_truth = dataset.data
-
-        slots = [
-            _CampaignSlot(
-                task=task,
-                policy=policy,
-                observed=np.full((n_cells, total_cycles), np.nan),
-                inferred=np.full((n_cells, total_cycles), np.nan),
-                result=CampaignResult(
-                    policy_name=policy.name,
-                    requirement=task.requirement,
-                    n_cells=n_cells,
-                    metadata={
-                        "dataset": dataset.name,
-                        "n_cycles": total_cycles,
-                        "served": True,
-                    },
-                ),
-                sensed_mask=np.zeros(n_cells, dtype=bool),
-            )
-            for task, policy in zip(tasks, policies)
-        ]
+        slots, total_cycles = _open_slots(self.tasks, policies, n_cycles, served=True)
         if tenants is None:
             tenants = [f"campaign-{index}" for index in range(len(slots))]
         if len(tenants) != len(slots):
             raise ValueError(f"{len(slots)} slots but {len(tenants)} tenants")
         for slot, tenant in zip(slots, tenants):
             slot.tenant = str(tenant)
-        self._slots = slots
-
         start_cycle = int(start_cycle)
         if not 0 <= start_cycle <= total_cycles:
             raise ValueError(
@@ -227,165 +173,31 @@ class ServedCampaignRunner(BatchedCampaignRunner):
                     f"stop_cycle {end_cycle} out of range "
                     f"[{start_cycle}, {total_cycles}]"
                 )
+        if slot_states is not None and len(slot_states) != len(slots):
+            raise ValueError(f"{len(slots)} slots but {len(slot_states)} slot states")
+        self._results = None
+        self._slots = slots
+        return self._drive(slots, range(start_cycle, end_cycle), slot_states)
+
+    # -- internals ---------------------------------------------------------------
+
+    def _drive(
+        self,
+        slots: List[_CampaignSlot],
+        cycles: range,
+        slot_states: Optional[Sequence[Optional[dict]]],
+    ) -> Iterator[None]:
         if slot_states is not None:
-            if len(slot_states) != len(slots):
-                raise ValueError(
-                    f"{len(slots)} slots but {len(slot_states)} slot states"
-                )
             for slot, state in zip(slots, slot_states):
                 if state is not None:
                     self._restore_slot(slot, state)
-
         # Actor policies defer their end-of-cycle learning to the server's
         # learn_batch endpoint (and adopt its clock for publication stamps).
         for slot in slots:
             bind = getattr(slot.policy, "bind_server", None)
             if bind is not None:
                 bind(self.server)
-
-        for cycle in range(start_cycle, end_cycle):
-            for slot in slots:
-                slot.policy.begin_cycle(cycle, slot.observed)
-                slot.sensed_mask = np.zeros(n_cells, dtype=bool)
-                slot.selected_order = []
-                slot.assessed_satisfied = False
-                slot.active = True
-
-            while True:
-                active = [slot for slot in slots if slot.active]
-                if not active:
-                    break
-
-                # Phase 1 — selection.  Agent-backed policies go through the
-                # server (their queries stack with every other pending query
-                # against the same agent); other policies select locally.
-                # Slots are independent, so a slot's selection never depends
-                # on another slot's reveal within the round.
-                pending_select: List[Tuple[_CampaignSlot, PendingResult]] = []
-                for slot in active:
-                    query = self._select_query(slot, cycle)
-                    if query is not None:
-                        pending_select.append((slot, query))
-                    else:
-                        self._apply_selection(
-                            slot,
-                            slot.policy.select_cell(
-                                slot.observed, cycle, slot.sensed_mask
-                            ),
-                            ground_truth,
-                            cycle,
-                        )
-                if pending_select:
-                    yield  # resolve the selection batch
-                    for slot, future in pending_select:
-                        cell = self._apply_selection(
-                            slot, future.result(), ground_truth, cycle
-                        )
-                        # Actor policies record the trajectory policy-side:
-                        # report the server-resolved action back so states
-                        # and actions stay aligned in submission order.
-                        notify = getattr(slot.policy, "observe_selection", None)
-                        if notify is not None:
-                            notify(cell)
-
-                # Phase 2 — assessment of every due slot, submitted in slot
-                # order so the server's equivalence grouping and the pooled
-                # assessors' RNG consumption match the direct runner.
-                due = [
-                    slot
-                    for slot in active
-                    if slot.n_selected >= min_cells
-                    and (slot.n_selected - min_cells) % self.config.assess_every == 0
-                ]
-                pending_assess: List[Tuple[_CampaignSlot, PendingResult]] = []
-                for slot in due:
-                    future = self.server.assess_quality(
-                        slot.task.assessor,
-                        slot.task.inference,
-                        slot.observed[:, : cycle + 1],
-                        cycle,
-                        slot.task.requirement,
-                        tenant=slot.tenant,
-                    )
-                    pending_assess.append((slot, future))
-                if pending_assess:
-                    yield  # resolve the assessment batch
-                    for slot, future in pending_assess:
-                        if future.result():
-                            slot.assessed_satisfied = True
-                            slot.active = False
-                for slot in active:
-                    if slot.active and slot.n_selected >= max_cells:
-                        slot.active = False
-
-            # Phase 3 — end-of-cycle inference for the not-fully-sensed slots.
-            start = max(0, cycle + 1 - self.config.history_window)
-            pending_complete: List[Tuple[_CampaignSlot, PendingResult]] = []
-            for slot in slots:
-                if slot.sensed_mask.all():
-                    slot.inferred[:, cycle] = ground_truth[:, cycle]
-                else:
-                    future = self.server.complete_matrix(
-                        slot.task.inference,
-                        slot.observed[:, start : cycle + 1],
-                        tenant=slot.tenant,
-                    )
-                    pending_complete.append((slot, future))
-            if pending_complete:
-                yield  # resolve the completion batch
-                for slot, future in pending_complete:
-                    completed = future.result()
-                    slot.inferred[:, cycle] = completed[:, completed.shape[1] - 1]
-
-            for slot in slots:
-                slot.policy.end_cycle(cycle, slot.observed)
-                slot.result.add_record(
-                    CycleRecord(
-                        cycle=cycle,
-                        selected_cells=tuple(slot.selected_order),
-                        true_error=float(
-                            slot.task.requirement.column_error(
-                                ground_truth[:, cycle],
-                                slot.inferred[:, cycle],
-                                exclude=slot.sensed_mask,
-                            )
-                        ),
-                        assessed_satisfied=slot.assessed_satisfied,
-                    )
-                )
-
-            # Phase 4 — stream the cycle's transitions to the central
-            # learner.  Batches are submitted in slot order and the yield
-            # guarantees they resolve (and, under synchronous publication,
-            # the updated weights are published) before any next-cycle
-            # selection is submitted — matching direct execution's
-            # learn-then-select ordering.
-            pending_learn: List[Tuple[_CampaignSlot, PendingResult]] = []
-            for slot in slots:
-                take = getattr(slot.policy, "take_transition_batch", None)
-                batch = take() if take is not None else None
-                if batch is not None:
-                    future = self.server.learn_batch(
-                        slot.policy.learner, batch, tenant=slot.tenant
-                    )
-                    pending_learn.append((slot, future))
-            if pending_learn:
-                yield  # resolve the learn batch
-                for slot, future in pending_learn:
-                    future.result()
-
-            # Cycle barrier — park until every co-driven runner finishes
-            # this cycle.  Fleets of different cadence therefore enter each
-            # cycle in the same scheduling round, so no server batch mixes
-            # requests from different campaign cycles and the boundary is a
-            # global quiescent point a checkpoint can capture and a resumed
-            # drive reproduces bitwise.  ``run_pending`` does not tick when
-            # nothing is pending, so an already-aligned (or solo) fleet is
-            # unaffected.
-            yield CYCLE_BARRIER
-
-        for slot in slots:
-            slot.result.inferred_matrix = slot.inferred
+        yield from _cycle_loop(slots, self.config, cycles, _ServedExecutor(self.server))
         self._results = [slot.result for slot in slots]
 
     # -- checkpointing -----------------------------------------------------------
@@ -463,6 +275,44 @@ class ServedCampaignRunner(BatchedCampaignRunner):
         if state.get("assessor") is not None:
             slot.task.assessor.load_state_dict(state["assessor"])
 
+
+class _ServedExecutor:
+    """Served phases: every decision is a server request; answers are futures.
+
+    Requests are submitted in slot order, each phase's answers are the
+    pending futures' ``result`` callables, and the cycle loop yields until
+    the server resolves them.  The request order per cycle is: selection
+    rounds (each followed by its due assessments), completions, learn
+    batches, then :data:`~repro.serve.server.CYCLE_BARRIER`.
+    """
+
+    def __init__(self, server: DecisionServer) -> None:
+        self.server = server
+
+    def select(self, active: List[_CampaignSlot], cycle: int) -> list:
+        # Agent-backed policies go through the server (their queries stack
+        # with every other pending query against the same agent); other
+        # policies select locally.
+        return [self._select(slot, cycle) for slot in active]
+
+    def _select(self, slot: _CampaignSlot, cycle: int):
+        future = self._select_query(slot, cycle)
+        if future is None:
+            return slot.policy.select_cell(slot.observed, cycle, slot.sensed_mask)
+        notify = getattr(slot.policy, "observe_selection", None)
+        if notify is None:
+            return future.result
+
+        def resolve() -> int:
+            # Actor policies record the trajectory policy-side: report the
+            # server-resolved action back so states and actions stay
+            # aligned in submission order.
+            cell = future.result()
+            notify(cell)
+            return cell
+
+        return resolve
+
     def _select_query(
         self, slot: _CampaignSlot, cycle: int
     ) -> Optional[PendingResult]:
@@ -498,12 +348,48 @@ class ServedCampaignRunner(BatchedCampaignRunner):
             agent, state, mask, greedy=policy.greedy, tenant=slot.tenant
         )
 
-    @staticmethod
-    def _apply_selection(
-        slot: _CampaignSlot, cell: int, ground_truth: np.ndarray, cycle: int
-    ) -> int:
-        cell = CellSelectionPolicy._validate_selection(cell, slot.sensed_mask)
-        slot.sensed_mask[cell] = True
-        slot.selected_order.append(cell)
-        slot.observed[cell, cycle] = ground_truth[cell, cycle]
-        return cell
+    def assess(self, due: List[_CampaignSlot], cycle: int) -> list:
+        return [
+            self.server.assess_quality(
+                slot.task.assessor,
+                slot.task.inference,
+                slot.observed[:, : cycle + 1],
+                cycle,
+                slot.task.requirement,
+                tenant=slot.tenant,
+            ).result
+            for slot in due
+        ]
+
+    def complete(self, pending: List[_CampaignSlot], windows: list) -> list:
+        return [
+            self.server.complete_matrix(
+                slot.task.inference, window, tenant=slot.tenant
+            ).result
+            for slot, window in zip(pending, windows)
+        ]
+
+    def hand_off(self, slots: List[_CampaignSlot], cycle: int) -> Iterator:
+        # Stream the cycle's transitions to the central learner.  The
+        # batches resolve (and, under synchronous publication, the updated
+        # weights are published) before any next-cycle selection is
+        # submitted — matching direct execution's learn-then-select order.
+        receipts = []
+        for slot in slots:
+            take = getattr(slot.policy, "take_transition_batch", None)
+            batch = take() if take is not None else None
+            if batch is not None:
+                receipts.append(
+                    self.server.learn_batch(
+                        slot.policy.learner, batch, tenant=slot.tenant
+                    ).result
+                )
+        yield from _settle(receipts)
+        # Cycle barrier — park until every co-driven runner finishes this
+        # cycle.  Fleets of different cadence therefore enter each cycle in
+        # the same scheduling round, so no server batch mixes requests from
+        # different campaign cycles and the boundary is a global quiescent
+        # point a checkpoint can capture and a resumed drive reproduces
+        # bitwise.  ``run_pending`` does not tick when nothing is pending,
+        # so an already-aligned (or solo) fleet is unaffected.
+        yield CYCLE_BARRIER

@@ -38,7 +38,7 @@ def serve_obs_command(args: argparse.Namespace) -> int:
     )
     session = Session.from_spec(spec)
     session.train(obs=obs)
-    report, stats = session.serve(
+    report, stats, _ = session.serve(
         replicas=replicas, max_batch=max_batch, max_inflight=max_inflight, obs=obs
     )
     api_cli._print_serve_report(spec, report, stats)

@@ -90,7 +90,7 @@ class RequestJournal:
     request, and call :meth:`finalize` after the drive completes::
 
         journal = RequestJournal()
-        report, stats = session.serve(journal=journal)   # attaches + finalizes
+        report, stats, _ = session.serve(journal=journal)   # attaches + finalizes
         journal.save("session.journal")
 
     Entity references (agents, assessors, inference instances, learners)

@@ -14,15 +14,16 @@ campaign:
     exploration-RNG draw order of sequential calls.
 ``assess_quality``
     A quality-assessment request.  Pending requests are grouped by
-    (assessor, inference) *equivalence* — the same notion
-    :class:`~repro.mcs.campaign.BatchedCampaignRunner` pools by — and each
-    group is answered with one
+    (assessor, inference) *equivalence* and each group is answered with one
     :meth:`~repro.quality.loo_bayesian.QualityAssessor.assess_many` call,
-    which solves every slot's LOO completions in one batched ALS.
+    which solves every slot's LOO completions in one batched ALS — through
+    :func:`repro.mcs.campaign._assess_pooled`, the very helper
+    :class:`~repro.mcs.campaign.BatchedCampaignRunner` pools with.
 ``complete_matrix``
     A raw matrix completion.  Pending requests are grouped by inference
     equivalence and solved with one
-    :meth:`~repro.inference.base.InferenceAlgorithm.complete_batch` call.
+    :meth:`~repro.inference.base.InferenceAlgorithm.complete_batch` call
+    (:func:`repro.mcs.campaign._complete_pooled`).
 ``learn_batch``
     A tagged batch of campaign transitions for a central
     :class:`~repro.learner.core.Learner`.  Pending batches for the same
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -70,6 +72,8 @@ from repro.serve.batcher import (
 from repro.serve.cache import CachingInference, CompletionCache
 from repro.serve.stats import ServerStats
 from repro.utils.validation import check_positive_int
+
+_payload = attrgetter("payload")
 
 #: Endpoint kinds in flush-priority order: policy queries unblock clients that
 #: still have to reveal data this round, assessments decide whether a round
@@ -423,63 +427,24 @@ class DecisionServer:
 
     def _handle_assess(self, requests: List[ServeRequest]) -> None:
         """Answer assessments, one ``assess_many`` per (assessor, inference) class."""
-        from repro.mcs.campaign import (  # local import: avoids a package cycle
-            _equivalent_assessor,
-            _equivalent_inference,
-            _group_by_equivalence,
-        )
+        from repro.mcs.campaign import _assess_pooled  # local import: avoids a package cycle
 
-        groups = _group_by_equivalence(
-            requests,
-            lambda a, b: _equivalent_assessor(a.payload.assessor, b.payload.assessor)
-            and _equivalent_inference(a.payload.inference, b.payload.inference),
+        verdicts = _assess_pooled(
+            requests, _payload, cached=self._cached, fail=self._fail_group
         )
-        for group in groups:
-            representative = group[0].payload
-            try:
-                # Per-request RNG partitioning: each slot's subsampling draws
-                # come from its *own* assessor's stream even though one
-                # representative runs the pooled pass, so a campaign's
-                # assessment randomness is independent of who shares its
-                # batch.  Assessors without a public rng fall back to the
-                # representative's stream (pre-partitioning behaviour).
-                verdicts = representative.assessor.assess_many(
-                    [request.payload.observed for request in group],
-                    [request.payload.cycle for request in group],
-                    [request.payload.requirement for request in group],
-                    self._cached(representative.inference),
-                    rngs=[
-                        getattr(request.payload.assessor, "rng", None)
-                        for request in group
-                    ],
-                )
-            except Exception as error:
-                self._fail_group(group, error)
-                continue
-            for request, verdict in zip(group, verdicts):
+        for request, verdict in zip(requests, verdicts):
+            if verdict is not None:
                 request.future.set_result(bool(verdict))
 
     def _handle_complete(self, requests: List[ServeRequest]) -> None:
         """Answer completions, one ``complete_batch`` per inference class."""
-        from repro.mcs.campaign import (  # local import: avoids a package cycle
-            _equivalent_inference,
-            _group_by_equivalence,
-        )
+        from repro.mcs.campaign import _complete_pooled  # local import: avoids a package cycle
 
-        groups = _group_by_equivalence(
-            requests,
-            lambda a, b: _equivalent_inference(a.payload.inference, b.payload.inference),
+        completed = _complete_pooled(
+            requests, _payload, cached=self._cached, fail=self._fail_group
         )
-        for group in groups:
-            inference = self._cached(group[0].payload.inference)
-            try:
-                completed = inference.complete_batch(
-                    [request.payload.matrix for request in group]
-                )
-            except Exception as error:
-                self._fail_group(group, error)
-                continue
-            for request, matrix in zip(group, completed):
+        for request, matrix in zip(requests, completed):
+            if matrix is not None:
                 request.future.set_result(matrix)
 
     def _handle_learn(self, requests: List[ServeRequest]) -> None:

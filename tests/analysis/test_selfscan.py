@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.analysis import analyze
 from repro.analysis.project import Project
 from repro.analysis.registry import RULES
+from repro.analysis.rules.fingerprint import _find_skip_sets, _find_solver_params
 from repro.analysis.rules.imports import FUNCTION_ONLY_MODULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -71,3 +72,17 @@ def test_function_only_modules_documented():
     doc = (REPO_ROOT / "docs" / "analysis.md").read_text(encoding="utf-8")
     for module in FUNCTION_ONLY_MODULES:
         assert f"| `{module}` |" in doc, f"`{module}` missing from docs/analysis.md"
+
+
+def test_fingerprint_rule_finds_the_live_pooling_predicates():
+    """``fingerprint-completeness`` checks 2 and 3 pass silently when their
+    AST searches find nothing, so a moved or renamed pooling predicate would
+    blind the rule.  Pin that both searches still hit the live tree."""
+    project = Project(REPO_ROOT, [Path("src")])
+    source, node, solver_params = _find_solver_params(project)
+    assert node is not None, "no literal solver_params tuple in src/"
+    assert {"rank", "regularization", "temporal_weight", "iterations"} <= solver_params
+    skip_sets = list(_find_skip_sets(project))
+    assert skip_sets, "no campaign-level pooling skip-set in src/"
+    for _, _, skip in skip_sets:
+        assert "_init_seed" in skip

@@ -44,7 +44,7 @@ def recorded():
     journal = RequestJournal()
     session = Session(load_spec())
     session.train()
-    report, stats = session.serve(journal=journal, **SERVE_KNOBS)
+    report, stats, _ = session.serve(journal=journal, **SERVE_KNOBS)
     return {"journal": journal, "report": report, "stats": stats}
 
 
@@ -90,7 +90,7 @@ class TestCheckpointResume:
         # Resume from disk in a fresh process-equivalent: new session, new
         # server, everything rebuilt from the serialized payload.
         tail_journal = RequestJournal()
-        resumed_report, resumed_stats = Session.resume_serve(
+        resumed_report, resumed_stats, _ = Session.resume_serve(
             ServerCheckpoint.load(path), journal=tail_journal
         )
 

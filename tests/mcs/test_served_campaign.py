@@ -130,6 +130,43 @@ class TestSingleRunnerParity:
             ServedCampaignRunner(task, config, server=object())
 
 
+class TestLaunchValidation:
+    """Bad ``launch`` arguments raise at the call, not on the first ``next()``.
+
+    By the first ``next()`` a drive may already be running and co-driven
+    runners may have submitted requests.
+    """
+
+    @pytest.mark.parametrize(
+        "policies, kwargs",
+        [
+            ([], {}),
+            (None, {"tenants": ["only-one"]}),
+            (None, {"start_cycle": 5}),
+            (None, {"stop_cycle": 5}),
+            (None, {"start_cycle": 2, "stop_cycle": 1}),
+            (None, {"slot_states": [None]}),
+        ],
+        ids=[
+            "no-policies",
+            "tenants",
+            "start-cycle",
+            "stop-cycle",
+            "stop-before-start",
+            "slot-states",
+        ],
+    )
+    def test_bad_arguments_raise_before_the_generator_exists(self, policies, kwargs):
+        task, fixture_policies, config = build_fixture()
+        server = DecisionServer()
+        runner = ServedCampaignRunner(task, config, server=server)
+        with pytest.raises(ValueError):
+            runner.launch(
+                fixture_policies if policies is None else policies, n_cycles=3, **kwargs
+            )
+        assert server.pending == 0
+
+
 class TestConcurrentRunners:
     def test_cross_dataset_fleets_share_one_server(self):
         temperature = generate_sensorscope(
@@ -200,7 +237,8 @@ class TestFigure6TinyParity:
     def test_served_metrics_bitwise_match_direct_evaluation(self, sessions):
         direct_session, served_session = sessions
         direct = direct_session.evaluate()
-        served, stats = served_session.serve()
+        served, stats, checkpoint = served_session.serve()
+        assert checkpoint is None
 
         assert [row.slot for row in served.rows] == [row.slot for row in direct.rows]
         for direct_row, served_row in zip(direct.rows, served.rows):
@@ -223,7 +261,7 @@ class TestFigure6TinyParity:
 
     def test_replicas_report_suffixed_rows(self, sessions):
         _, served_session = sessions
-        report, stats = served_session.serve(replicas=2, n_cycles=2)
+        report, stats, _ = served_session.serve(replicas=2, n_cycles=2)
         names = [row.slot for row in report.rows]
         assert len(names) == 2 * len(served_session.slots)
         assert any(name.endswith("@1") for name in names)

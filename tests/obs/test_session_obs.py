@@ -51,7 +51,7 @@ def direct():
     journal = RequestJournal()
     session = Session(load_spec())
     session.train()
-    report, stats = session.serve(journal=journal, **SERVE_KNOBS)
+    report, stats, _ = session.serve(journal=journal, **SERVE_KNOBS)
     return {"journal": journal, "report": report, "stats": stats}
 
 
@@ -62,7 +62,7 @@ def observed():
     obs = full_obs()
     session = Session(load_spec())
     session.train(obs=obs)
-    report, stats = session.serve(journal=journal, obs=obs, **SERVE_KNOBS)
+    report, stats, _ = session.serve(journal=journal, obs=obs, **SERVE_KNOBS)
     return {"journal": journal, "report": report, "stats": stats, "obs": obs}
 
 
@@ -169,7 +169,7 @@ class TestFigure6TinyObsParity:
         spec = figure6_scenario(TINY_SCALE, "temperature", 0.9, seed=0)
         session = Session.from_spec(spec)
         session.train(obs=obs)
-        report, stats = session.serve(obs=obs)
+        report, stats, _ = session.serve(obs=obs)
         return report, stats
 
     def test_observed_serve_is_bitwise_identical(self):
