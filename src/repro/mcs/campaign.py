@@ -28,7 +28,7 @@ complete the end-of-cycle windows, and the end-of-cycle hand-off — to an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.mcs.policies import CellSelectionPolicy
 from repro.mcs.results import CampaignResult, CycleRecord
 from repro.mcs.task import SensingTask
 from repro.mcs.vector import BatchedSparseMCSVectorEnv
+from repro.serve.server import AssessQuery, CompleteQuery
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive_int
 
@@ -191,23 +192,6 @@ class CampaignConfig:
                 )
 
 
-class _AssessQuery(NamedTuple):
-    """One pooled-assessment request (the fields ``assess_many`` consumes)."""
-
-    assessor: Any
-    inference: Any
-    observed: np.ndarray
-    cycle: int
-    requirement: Any
-
-
-class _CompleteQuery(NamedTuple):
-    """One pooled-completion request."""
-
-    inference: Any
-    matrix: np.ndarray
-
-
 def _itself(value):
     return value
 
@@ -215,12 +199,13 @@ def _itself(value):
 def _assess_pooled(items, query=_itself, *, cached=_itself, fail=None) -> List:
     """Verdicts for ``items``, one ``assess_many`` call per pooling class.
 
-    ``query(item)`` exposes the :class:`_AssessQuery` fields.  Items pool by
-    (assessor, inference) *equivalence*, not identity, in first-seen order,
-    so distinct but equivalently configured per-slot instances share one
-    batched solve.  The representative runs the pass through
-    ``cached(inference)``, but each item draws from its *own* assessor's
-    RNG stream, so its randomness does not depend on who shares its batch.
+    ``query(item)`` exposes the :class:`~repro.serve.server.AssessQuery`
+    fields.  Items pool by (assessor, inference) *equivalence*, not
+    identity, in first-seen order, so distinct but equivalently configured
+    per-slot instances share one batched solve.  The representative runs
+    the pass through ``cached(inference)``, but each item draws from its
+    *own* assessor's RNG stream, so its randomness does not depend on who
+    shares its batch.
     A group whose call raises goes to ``fail(group_items, error)`` and its
     verdicts stay ``None``; without ``fail`` the error propagates.
     """
@@ -255,8 +240,9 @@ def _assess_pooled(items, query=_itself, *, cached=_itself, fail=None) -> List:
 def _complete_pooled(items, query=_itself, *, cached=_itself, fail=None) -> List:
     """Completed matrices for ``items``, one ``complete_batch`` per inference class.
 
-    The counterpart of :func:`_assess_pooled` for :class:`_CompleteQuery`
-    fields, under the same ``cached`` / ``fail`` contract.
+    The counterpart of :func:`_assess_pooled` for
+    :class:`~repro.serve.server.CompleteQuery` fields, under the same
+    ``cached`` / ``fail`` contract.
     """
     queries = [query(item) for item in items]
     completed: List = [None] * len(queries)
@@ -495,7 +481,7 @@ class _PooledExecutor(_SequentialExecutor):
     def assess(self, due, cycle):
         return _assess_pooled(
             [
-                _AssessQuery(
+                AssessQuery(
                     slot.task.assessor,
                     slot.task.inference,
                     slot.observed[:, : cycle + 1],
@@ -509,7 +495,7 @@ class _PooledExecutor(_SequentialExecutor):
     def complete(self, pending, windows):
         return _complete_pooled(
             [
-                _CompleteQuery(slot.task.inference, window)
+                CompleteQuery(slot.task.inference, window)
                 for slot, window in zip(pending, windows)
             ]
         )

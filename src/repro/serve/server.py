@@ -433,7 +433,7 @@ class DecisionServer:
             requests, _payload, cached=self._cached, fail=self._fail_group
         )
         for request, verdict in zip(requests, verdicts):
-            if verdict is not None:
+            if not request.future.done:  # failed groups are already resolved
                 request.future.set_result(bool(verdict))
 
     def _handle_complete(self, requests: List[ServeRequest]) -> None:
@@ -444,7 +444,7 @@ class DecisionServer:
             requests, _payload, cached=self._cached, fail=self._fail_group
         )
         for request, matrix in zip(requests, completed):
-            if matrix is not None:
+            if not request.future.done:  # failed groups are already resolved
                 request.future.set_result(matrix)
 
     def _handle_learn(self, requests: List[ServeRequest]) -> None:

@@ -12,6 +12,8 @@ The load-bearing claims:
   bitwise identical to ``Session.evaluate``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from repro.mcs import (
     SensingTask,
 )
 from repro.quality.epsilon_p import QualityRequirement
-from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
+from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor, QualityAssessor
 from repro.serve import DecisionServer, ServeConfig, drive
 
 
@@ -115,6 +117,27 @@ class TestSingleRunnerParity:
         assert server.cache.hits > 0
         # The warm run's completion work came from the cache, not new solves.
         assert server.cache.misses == misses_after_cold
+
+    def test_falsy_none_verdicts_match_the_direct_runner(self):
+        # A custom assessor on the base assess_many may answer None for "not
+        # yet satisfied"; the server must read it as False, as the direct
+        # runner does, instead of leaving the request unresolved.
+        class CountingAssessor(QualityAssessor):
+            def assess(self, observed_matrix, cycle, requirement, inference):
+                return True if np.isfinite(observed_matrix[:, cycle]).sum() >= 4 else None
+
+        def build():
+            task, policies, config = build_fixture()
+            return replace(task, assessor=CountingAssessor()), policies, config
+
+        task, policies, config = build()
+        direct = BatchedCampaignRunner(task, config).run(policies, n_cycles=3)
+        task2, policies2, config2 = build()
+        served = ServedCampaignRunner(task2, config2, server=DecisionServer()).run(
+            policies2, n_cycles=3
+        )
+        assert_results_bitwise_equal(direct, served)
+        assert all(len(r.selected_cells) == 4 for res in served for r in res.records)
 
     def test_results_property_requires_a_completed_run(self):
         task, policies, config = build_fixture()
