@@ -11,9 +11,11 @@ The library's import-time contract has four legs:
   eagerly by a ``repro`` module outside a ``try/except ImportError`` guard —
   the library has to import (and the CPU paths have to run) on machines
   without them;
-* heavy modules only a rare path needs (``scipy.stats``, which alone
-  dominates the package's cold-start import) may only be imported inside
-  the function that uses them, never at module level of a ``repro`` module;
+* heavy modules only a rare path needs (``scipy`` and every ``scipy.*``
+  submodule, which only the test-time LOO posterior uses and which would
+  otherwise dominate the package's cold-start import) may only be imported
+  inside the function that uses them, never at module level of a ``repro``
+  module;
 * the explicit top-level import graph between ``repro`` modules must stay
   acyclic.  Implicit package-parent edges are normal Python and ignored;
   it is the *explicit* ``import repro.x`` edges that, once circular, make
@@ -39,8 +41,9 @@ API_FACADE_ALLOWED = frozenset({"__future__", "typing", "repro.api.registry"})
 GUARDED_MODULES = frozenset({"numba", "torch"})
 
 #: Modules a ``repro`` module may only import inside a function: each costs
-#: far more import time than the one code path that needs it.
-FUNCTION_ONLY_MODULES = frozenset({"scipy.stats"})
+#: far more import time than the one code path that needs it.  An entry
+#: covers its submodules too, so ``scipy`` covers ``scipy.special``.
+FUNCTION_ONLY_MODULES = frozenset({"scipy"})
 
 
 def _is_type_checking_guard(node: ast.If) -> bool:
@@ -66,18 +69,19 @@ def _handles_import_error(node: ast.Try) -> bool:
 
 
 def _function_only_import(node: ast.AST, imported: str) -> Optional[str]:
-    """The :data:`FUNCTION_ONLY_MODULES` entry this import loads, if any.
+    """The function-only module this import loads, if any.
 
     ``from scipy import stats`` names the module through the imported
-    alias, so ``from`` imports are checked as ``module.alias`` too.
+    alias, so ``from`` imports are checked as ``module.alias`` first and the
+    most specific name is reported (``scipy.stats``, not ``scipy``).
     """
     candidates = [imported]
     if isinstance(node, ast.ImportFrom):
-        candidates += [f"{imported}.{alias.name}" for alias in node.names]
+        candidates = [f"{imported}.{alias.name}" for alias in node.names] + candidates
     for candidate in candidates:
         for module in FUNCTION_ONLY_MODULES:
             if candidate == module or candidate.startswith(module + "."):
-                return module
+                return candidate
     return None
 
 
@@ -120,7 +124,7 @@ class LazyImportHygieneRule(AnalysisRule):
     id = "lazy-import-hygiene"
     description = (
         "repro.api facade imports only the registry eagerly, numba/torch stay behind "
-        "ImportError guards, scipy.stats is imported only inside functions, and the "
+        "ImportError guards, scipy is imported only inside functions, and the "
         "explicit top-level import graph is acyclic"
     )
 

@@ -199,10 +199,11 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         because reductions over the longer padded axes (NumPy's pairwise
         normalisation sums, the cell half-step's BLAS right-hand side) may
         group the same terms differently, results can differ from the
-        per-shape solve by float rounding (~1e-15 — uniform-width groups
-        remain bitwise identical, no padding is involved).  Fleets whose windows span many distinct
-        widths — e.g. campaigns at different cycles pooled by the decision
-        server — therefore still fuse into a single ALS instead of
+        per-shape solve by float rounding (~1e-12 on data of order 10 —
+        uniform-width groups remain bitwise identical, no padding is
+        involved).  Fleets whose windows span many distinct widths — e.g.
+        campaigns at different cycles pooled by the decision server —
+        therefore still fuse into a single ALS instead of
         degenerating to per-shape calls.  Matrices narrower than the
         effective rank keep their exact-shape groups (their rank clamp
         differs, so padding would genuinely change results).

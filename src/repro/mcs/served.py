@@ -23,9 +23,9 @@ and it answers assessments and completions with the pooled executor's own
 helpers (:func:`~repro.mcs.campaign._assess_pooled`,
 :func:`~repro.mcs.campaign._complete_pooled`).  A single runner driven alone
 against a server therefore reproduces the direct ``BatchedCampaignRunner``
-results bitwise, including every assessor's RNG stream (the completion cache
-returns exactly what a recomputation would, since the batched solvers are
-batch-composition independent).
+results bitwise, including every assessor's RNG stream (the server forms the
+same pooled batches, so the completion cache returns the bytes a direct
+recomputation produces).
 
 The new capability is *concurrency*: :meth:`launch` returns a generator, and
 any number of runners — over different datasets, requirements, scenarios —

@@ -38,7 +38,6 @@ import abc
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from repro.api.registry import ASSESSORS
 from repro.inference.base import InferenceAlgorithm
@@ -364,8 +363,10 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         if standard_error <= 1e-12:
             return 1.0 if mean <= requirement.epsilon else 0.0
         t_stat = (requirement.epsilon - mean) / standard_error
-        # The Student-t CDF itself: ``stats.t.cdf`` calls ``stdtr``, so this is
-        # the same bytes without loading ``scipy.stats`` at import time.
+        # Imported here so only processes that assess load SciPy (training
+        # uses the oracle).  ``stats.t.cdf`` calls the same ``stdtr`` ufunc.
+        from scipy import special
+
         return float(special.stdtr(n - 1, t_stat))
 
     @staticmethod
@@ -391,10 +392,6 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         (``np.digitize`` with inclusive upper bounds) — the posterior must
         estimate the same quantity the recorded metric measures.
         """
-        # Imported here: ``scipy.stats`` dominates the package's import time
-        # and only the classification metric needs it.
-        from scipy import stats
-
         edges = np.asarray(requirement.category_edges(), dtype=float)
         true_category = np.digitize(true_values, edges, right=True)
         predicted_category = np.digitize(predicted_values, edges, right=True)
@@ -403,8 +400,30 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         alpha = 0.5 + misses
         beta = 0.5 + (n - misses)
         allowed_misses = int(np.floor(requirement.epsilon * n_unsensed))
-        posterior_predictive = stats.betabinom(n_unsensed, alpha, beta)
-        return float(posterior_predictive.cdf(allowed_misses))
+        return _betabinom_cdf(allowed_misses, n_unsensed, alpha, beta)
+
+
+def _betabinom_cdf(k: int, n: int, alpha: float, beta: float) -> float:
+    """P(X ≤ k) for X ~ BetaBinomial(n, alpha, beta), summed in log space.
+
+    Each term is ``scipy.stats.betabinom``'s own log-pmf, the binomial
+    coefficient written as ``-log(n + 1) - betaln(n - k + 1, k + 1)``, and
+    the terms are summed and clipped the way its ``cdf`` does — the same
+    bytes at a fraction of the cost, and ``scipy.stats`` never loads.
+    """
+    if k >= n:
+        return 1.0
+    # Imported here so only processes that assess load SciPy.
+    from scipy import special
+
+    m = np.arange(k + 1, dtype=float)
+    log_pmf = (
+        -np.log(n + 1.0)
+        - special.betaln(n - m + 1, m + 1)
+        + special.betaln(m + alpha, n - m + beta)
+        - special.betaln(alpha, beta)
+    )
+    return float(np.clip(np.exp(log_pmf).sum(), 0.0, 1.0))
 
 
 @ASSESSORS.register("oracle")

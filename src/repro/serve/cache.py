@@ -1,13 +1,17 @@
 """Completion caching: skip ALS when the same partial matrix comes back.
 
 Matrix completion is deterministic — :class:`~repro.inference.compressive.
-CompressiveSensingInference` freezes its initialisation seed, and the batched
-solver's per-slot results are independent of which other matrices share the
-stack — so a (inference configuration, partial matrix) pair always maps to
-the same completed matrix.  Campaigns hit the same pair repeatedly: the LOO
-assessment of a cycle re-completes held-out variants of one window, and
-multi-policy comparisons (or replicated A/B campaigns) assess *identical*
-partial matrices from different campaign slots.  :class:`CompletionCache`
+CompressiveSensingInference` freezes its initialisation seed — and in a
+stack of one width the batched solver's per-slot result does not depend, by
+a single byte, on which other matrices share the stack.  A width-padded
+stack (same cell count, more cycles) may round differently, within ~1e-12.
+A cache hit returns the bytes of the solve that filled the entry: a
+recomputation in a same-width batch gives the same bytes, one in a padded
+batch agrees to float rounding.  Campaigns hit the same (inference
+configuration, partial matrix) pair repeatedly: the LOO assessment of a
+cycle re-completes held-out variants of one window, and multi-policy
+comparisons (or replicated A/B campaigns) assess *identical* partial
+matrices from different campaign slots.  :class:`CompletionCache`
 memoises those completions under an LRU policy and
 :class:`CachingInference` wraps any :class:`~repro.inference.base.
 InferenceAlgorithm` so every ``complete``/``complete_batch`` call consults
@@ -189,9 +193,9 @@ class CachingInference(InferenceAlgorithm):
     The wrapper is transparent to callers — it satisfies the
     :class:`~repro.inference.base.InferenceAlgorithm` interface, proxies
     ``supports_batch_completion`` so batching probes keep working, and
-    returns exactly what the wrapped algorithm would return (completions are
-    deterministic and batch-composition independent, so a cache hit is
-    bitwise identical to a recomputation).
+    returns what the wrapped algorithm would return: a cache hit is bitwise
+    identical to a recomputation in a same-width batch, and within ~1e-12 of
+    one in a width-padded batch (see the module docstring).
 
     ``complete_batch`` additionally deduplicates *within* the batch: a pooled
     call carrying the same partial matrix K times (replicated campaigns,

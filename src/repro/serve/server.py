@@ -41,7 +41,8 @@ MicroBatcher` and flush when a queue reaches ``max_batch`` or its oldest
 request has waited ``max_wait_ticks`` logical clock ticks.  The clock is a
 deterministic :class:`~repro.serve.batcher.TickClock`, so a fixed request
 schedule always produces the same batches — and therefore bitwise-identical
-results (the batched solvers are batch-composition independent).
+results (the batched solvers are byte-independent of their batch within one
+width, and within ~1e-12 of it across width-padded stacks).
 
 Clients that drive whole campaigns cooperatively (see
 :class:`~repro.mcs.served.ServedCampaignRunner`) are generators; the

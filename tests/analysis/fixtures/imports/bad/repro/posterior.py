@@ -1,8 +1,9 @@
-"""Known-bad module-level imports of a function-only module (never imported)."""
+"""Known-bad module-level imports of function-only modules (never imported)."""
 
 import scipy.stats as st
+from scipy import special
 from scipy import stats
 
 
 def cdf(x, df):
-    return stats.t.cdf(x, df) + st.norm.cdf(x)
+    return stats.t.cdf(x, df) + st.norm.cdf(x) + special.stdtr(df, x)

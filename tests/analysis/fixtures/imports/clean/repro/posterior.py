@@ -1,9 +1,9 @@
-"""Known-clean function-level import of a function-only module (never imported)."""
-
-from scipy import special
+"""Known-clean function-level imports of function-only modules (never imported)."""
 
 
 def cdf(x, df):
+    from scipy import special
+
     return special.stdtr(df, x)
 
 

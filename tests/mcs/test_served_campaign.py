@@ -89,8 +89,9 @@ class TestSingleRunnerParity:
         assert_results_bitwise_equal(direct, served)
 
     def test_parity_is_robust_to_micro_batch_size(self):
-        # Chunked flushes preserve request order and the batched solver is
-        # batch-composition independent, so tiny max_batch changes nothing.
+        # Chunked flushes preserve request order, lockstep slots share a
+        # window width, and the batched solver is byte-independent of its
+        # batch within one width, so tiny max_batch changes nothing.
         task, policies, config = build_fixture()
         direct = BatchedCampaignRunner(task, config).run(policies, n_cycles=3)
 

@@ -181,3 +181,39 @@ class TestCachingInference:
     def test_rejects_non_inference(self):
         with pytest.raises(TypeError):
             CachingInference(object(), CompletionCache())
+
+
+class TestBatchCompositionContract:
+    """What a cache hit equals: the bytes of a recomputation within one
+    width, and the recomputation to ~1e-12 when the batch pads the width."""
+
+    @staticmethod
+    def window(rng, width):
+        matrix = rng.uniform(10.0, 30.0, size=(20, width))
+        matrix[rng.random(size=matrix.shape) < 0.5] = np.nan
+        matrix[0, :] = 15.0  # every column observed somewhere
+        return matrix
+
+    def test_same_width_batches_are_bytewise_independent(self):
+        als = CompressiveSensingInference()
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            a, b, c = (self.window(rng, 5) for _ in range(3))
+            alone = als.complete_batch([a])[0]
+            for batch, position in (([a, b], 0), ([b, a, c], 1)):
+                shared = als.complete_batch(batch)[position]
+                assert alone.tobytes() == shared.tobytes()
+
+    def test_padded_batches_agree_to_float_rounding(self):
+        als = CompressiveSensingInference()
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            a, wide = self.window(rng, 5), self.window(rng, 8)
+            wrapped = CachingInference(als, CompletionCache(capacity=8))
+            # The 20x5 window is solved padded to width 8 and cached ...
+            wrapped.complete_batch([a, wide])
+            hit = wrapped.complete(a)
+            assert wrapped.cache.hits == 1
+            # ... so the hit is the padded solve, not the bytes of a solve alone.
+            alone = als.complete_batch([a])[0]
+            np.testing.assert_allclose(hit, alone, rtol=1e-12, atol=0.0)
