@@ -21,8 +21,12 @@ Rows land in ``benchmarks/results/learner.json`` with aggregate throughput,
 p50/p99 endpoint latency, weight-staleness telemetry, per-campaign replay
 accounting, and the final-error comparison (the two regimes learn different
 — shared — experience, so errors are recorded for parity inspection, not
-asserted bitwise).  Smoke mode for CI: ``LEARNER_BENCH_SMOKE=1`` shrinks
-the fleet and skips the throughput assertion.
+asserted bitwise).  The two configurations run back to back in several
+paired rounds, after a discarded one-campaign round that pays the process's
+one-time costs; the asserted speedup is the median round's, which one round
+disturbed by a busy host cannot move.  Smoke mode for CI:
+``LEARNER_BENCH_SMOKE=1`` shrinks the fleet, runs one round and skips the
+throughput assertion.
 """
 
 import os
@@ -154,6 +158,33 @@ def _run_served_shared_learner(n_campaigns: int):
     return results, elapsed, server, learner
 
 
+def _paired_rounds(rounds: int, n_campaigns: int):
+    """Run ``rounds`` back-to-back (direct, served) pairs after a warm-up.
+
+    Returns the per-round speedups, each mode's best seconds, and the
+    results of the last round (the served side with its server and
+    learner) — every round computes the same campaigns.
+    """
+    _run_sequential_direct(1)
+    _run_served_shared_learner(1)
+    speedups = []
+    best_direct = best_served = float("inf")
+    for _ in range(rounds):
+        direct_results, t_direct = _run_sequential_direct(n_campaigns)
+        served_results, t_served, server, learner = _run_served_shared_learner(
+            n_campaigns
+        )
+        speedups.append(t_direct / t_served)
+        best_direct = min(best_direct, t_direct)
+        best_served = min(best_served, t_served)
+    return (
+        speedups,
+        best_direct,
+        best_served,
+        (direct_results, served_results, server, learner),
+    )
+
+
 def _endpoint_latency(stats, kind: str) -> dict:
     endpoint = stats.endpoint(kind)
     snapshot = endpoint.as_dict()
@@ -168,9 +199,15 @@ def test_bench_learner_throughput(benchmark):
     """Record shared-learner throughput vs sequential per-campaign training."""
     smoke = _smoke_mode()
     n_campaigns = 3 if smoke else 8
+    rounds = 1 if smoke else 5
 
-    direct_results, t_direct = _run_sequential_direct(n_campaigns)
-    served_results, t_served, server, learner = _run_served_shared_learner(n_campaigns)
+    speedups, t_direct, t_served, (
+        direct_results,
+        served_results,
+        server,
+        learner,
+    ) = _paired_rounds(rounds, n_campaigns)
+    speedup = sorted(speedups)[len(speedups) // 2]
 
     direct_rate = n_campaigns * N_CYCLES / t_direct
     served_rate = n_campaigns * N_CYCLES / t_served
@@ -195,7 +232,8 @@ def test_bench_learner_throughput(benchmark):
             "n_cells": N_CELLS,
             "seconds": round(t_served, 4),
             "campaign_cycles_per_second": round(served_rate, 2),
-            "speedup_vs_sequential": round(served_rate / direct_rate, 2),
+            "speedup_vs_sequential": round(speedup, 2),
+            "round_speedups": [round(r, 4) for r in speedups],
             "final_true_errors": _final_errors(served_results),
             "steps_per_publish": STEPS_PER_PUBLISH,
             "learner_minibatch": BATCH_SIZE,
@@ -229,4 +267,4 @@ def test_bench_learner_throughput(benchmark):
         # shared learner sustain ≥ 1.3× the aggregate throughput of
         # sequential per-campaign direct training (measured well above that
         # locally: fused cycle-level updates replace per-transition ones).
-        assert served_rate / direct_rate >= 1.3
+        assert speedup >= 1.3, f"median round speedup {speedup:.2f} below 1.3x"

@@ -6,17 +6,23 @@ batch, phase profiling wraps the ALS/LOO hot paths, and the periodic
 cycle-barrier snapshot re-ingests server stats — all of it observational,
 none of it on the algorithmic path.  This benchmark measures that claim.
 
-One fleet of concurrent campaigns is driven through a
-:class:`~repro.serve.server.DecisionServer` twice — bare, and with a full
+Each round builds the same fleet of concurrent campaigns twice, each on its
+own :class:`~repro.serve.server.DecisionServer` — bare, and with a full
 :class:`~repro.obs.Observability` bundle (tracer + profiler + every-barrier
-snapshots) attached — taking the best of several rounds each.  Results go
-to ``benchmarks/results/obs.json`` with per-mode timings, span/metric
-counts, and the measured overhead; full mode asserts the overhead stays
-under 5%.  Smoke mode for CI: ``OBS_BENCH_SMOKE=1`` shrinks the fleet and
-skips the assertion (tiny runs are dominated by noise).
+snapshots) attached — and drives the two in lockstep, one scheduling round
+(:func:`~repro.serve.server.drive_rounds`) of each in turn, timing each
+mode's rounds separately.  A shared host's speed drifts by 10–20% between
+whole-fleet runs, far more than the overhead being measured; alternating
+every few milliseconds exposes both modes to the same drift, so it cancels
+in their ratio.  Results go to ``benchmarks/results/obs.json`` with per-mode
+timings, span/metric counts, and the measured overhead; full mode asserts
+the median round's overhead stays under 5%.  Smoke mode for CI:
+``OBS_BENCH_SMOKE=1`` shrinks the fleet and skips the assertion (tiny runs
+are dominated by noise).
 """
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from repro.mcs.served import ServedCampaignRunner
 from repro.obs import Observability
 from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
-from repro.serve import DecisionServer, ServeConfig, drive
+from repro.serve import DecisionServer, ServeConfig, drive, drive_rounds
 from repro.utils.timing import monotonic
 
 from benchmarks.conftest import write_result
@@ -63,8 +69,8 @@ def _campaign(index: int):
     return task, RandomSelectionPolicy(seed=index)
 
 
-def _run_fleet(n_campaigns: int, n_cycles: int, obs):
-    """Drive one fleet; returns (elapsed_seconds, server, total_selected)."""
+def _fleet(n_campaigns: int, n_cycles: int, obs):
+    """Launch one fleet; returns (server, runners, drivers)."""
     campaigns = [_campaign(k) for k in range(n_campaigns)]
     config = CampaignConfig(
         min_cells_per_cycle=3, assess_every=1, history_window=HISTORY
@@ -79,46 +85,85 @@ def _run_fleet(n_campaigns: int, n_cycles: int, obs):
         runner.launch([policy], n_cycles=n_cycles)
         for runner, (_, policy) in zip(runners, campaigns)
     ]
+    return server, runners, drivers
+
+
+def _total_selected(runners) -> int:
+    return sum(runner.results[0].total_selected for runner in runners)
+
+
+def _run_fleet(n_campaigns: int, n_cycles: int):
+    """Drive one bare fleet; returns elapsed seconds."""
+    server, _, drivers = _fleet(n_campaigns, n_cycles, None)
     start = monotonic()
-    if obs is not None:
-        with obs.profiling():
-            drive(server, drivers, on_barrier=lambda: obs.on_cycle_barrier(server))
-        obs.observe_server(server.stats)
-        obs.finalize()
-    else:
-        drive(server, drivers)
-    elapsed = monotonic() - start
-    total = sum(runner.results[0].total_selected for runner in runners)
-    return elapsed, server, total
+    drive(server, drivers)
+    return monotonic() - start
+
+
+def _lockstep_round(n_campaigns: int, n_cycles: int):
+    """Drive a bare and an observed fleet alternately, one round at a time.
+
+    The observed fleet's seconds include everything observation adds: the
+    tracer's spans, the profiler (active only during its own rounds), the
+    per-barrier snapshots, and the closing ingest and finalize.  Returns
+    ``{observed: (seconds, server, total_selected)}`` and the bundle.
+    """
+    obs = Observability(trace=True, profile=True, snapshot_every=1)
+    fleets = {
+        False: _fleet(n_campaigns, n_cycles, None),
+        True: _fleet(n_campaigns, n_cycles, obs),
+    }
+    rounds = {
+        False: drive_rounds(fleets[False][0], fleets[False][2]),
+        True: drive_rounds(
+            fleets[True][0],
+            fleets[True][2],
+            on_barrier=lambda: obs.on_cycle_barrier(fleets[True][0]),
+        ),
+    }
+    seconds = {False: 0.0, True: 0.0}
+    live = [False, True]
+    while live:
+        for observed in tuple(live):
+            start = monotonic()
+            with obs.profiling() if observed else nullcontext():
+                try:
+                    next(rounds[observed])
+                except StopIteration:
+                    live.remove(observed)
+            seconds[observed] += monotonic() - start
+    start = monotonic()
+    obs.observe_server(fleets[True][0].stats)
+    obs.finalize()
+    seconds[True] += monotonic() - start
+    results = {
+        observed: (seconds[observed], server, _total_selected(runners))
+        for observed, (server, runners, _) in fleets.items()
+    }
+    return results, obs
 
 
 def _paired_rounds(rounds: int, n_campaigns: int, n_cycles: int):
-    """Run ``rounds`` back-to-back (bare, observed) pairs.
+    """Run ``rounds`` lockstep (bare, observed) rounds after a discarded one.
 
-    Pairing keeps both modes exposed to the same machine conditions — a
-    background hiccup lands on one *round*, not on one *mode* — and the
-    caller takes the median per-round ratio, which a single disturbed round
-    cannot move.  Returns ``(ratios, bare_seconds, bare_artifacts,
-    obs_seconds, obs_artifacts)`` with per-mode best times and the artifacts
-    of the fastest run of each mode.
+    The discarded one-campaign round pays the process's one-time costs (lazy
+    imports, first-call set-up), which would otherwise land on whichever
+    mode happens to run first.  The caller takes the median per-round
+    ratio, which a single disturbed round cannot move.  Returns ``(ratios,
+    bare_seconds, bare_artifacts, obs_seconds, obs_artifacts)`` with
+    per-mode best times and the artifacts of the fastest run of each mode.
     """
+    _lockstep_round(1, n_cycles)
     ratios = []
     best = {False: float("inf"), True: float("inf")}
     artifacts = {False: None, True: None}
     for _ in range(rounds):
-        pair = {}
-        for observed in (False, True):
-            obs = (
-                Observability(trace=True, profile=True, snapshot_every=1)
-                if observed
-                else None
-            )
-            elapsed, server, total = _run_fleet(n_campaigns, n_cycles, obs)
-            pair[observed] = elapsed
+        results, obs = _lockstep_round(n_campaigns, n_cycles)
+        for observed, (elapsed, server, total) in results.items():
             if elapsed < best[observed]:
                 best[observed] = elapsed
-                artifacts[observed] = (obs, server, total)
-        ratios.append(pair[True] / pair[False])
+                artifacts[observed] = (obs if observed else None, server, total)
+        ratios.append(results[True][0] / results[False][0])
     return ratios, best[False], artifacts[False], best[True], artifacts[True]
 
 
@@ -172,7 +217,7 @@ def test_bench_obs_overhead(benchmark):
 
     benchmark.pedantic(
         _run_fleet,
-        args=(n_campaigns, n_cycles, None),
+        args=(n_campaigns, n_cycles),
         rounds=1,
         iterations=1,
     )

@@ -13,7 +13,8 @@ memoises completions in an LRU :class:`CompletionCache`.
 * :mod:`repro.serve.cache` — content-fingerprint completion caching
   (:class:`CompletionCache`, :class:`CachingInference`).
 * :mod:`repro.serve.server` — :class:`DecisionServer`, :class:`ServeConfig`,
-  and the cooperative :func:`drive` scheduler.
+  and the cooperative :func:`drive` scheduler (:func:`drive_rounds` steps it
+  one round at a time).
 * :mod:`repro.serve.stats` — :class:`ServerStats` telemetry, including
   per-campaign fairness counters (:class:`TenantStats`).
 * :mod:`repro.serve.journal` — the :class:`RequestJournal` flight recorder
@@ -48,7 +49,13 @@ from repro.serve.journal import (
     replay_journal,
     weights_fingerprint,
 )
-from repro.serve.server import CYCLE_BARRIER, DecisionServer, ServeConfig, drive
+from repro.serve.server import (
+    CYCLE_BARRIER,
+    DecisionServer,
+    ServeConfig,
+    drive,
+    drive_rounds,
+)
 from repro.serve.stats import EndpointStats, LatencyReservoir, ServerStats, TenantStats
 
 __all__ = [
@@ -71,6 +78,7 @@ __all__ = [
     "TickClock",
     "diff_journals",
     "drive",
+    "drive_rounds",
     "inference_fingerprint",
     "matrix_fingerprint",
     "replay_journal",

@@ -535,6 +535,25 @@ def drive(
 ) -> None:
     """Cooperatively drive generator clients against one server to completion.
 
+    Exhausts :func:`drive_rounds`; see it for the schedule.
+    """
+    for _ in drive_rounds(server, clients, on_barrier=on_barrier):
+        pass
+
+
+def drive_rounds(
+    server: DecisionServer,
+    clients: Iterable[Iterator],
+    *,
+    on_barrier: Optional[Callable[[], None]] = None,
+) -> Iterator[None]:
+    """:func:`drive`, one scheduling round per ``next()``.
+
+    Yields after each round's ``server.run_pending()``, so a caller can
+    interleave several drives round by round — e.g. to time a bare and an
+    observed fleet under the same machine load — or stop between rounds.
+    Nothing runs until the first ``next()``.
+
     Each client is a generator that submits requests to ``server`` and
     ``yield``\\ s whenever it needs pending futures resolved before it can
     continue (see :class:`~repro.mcs.served.ServedCampaignRunner.launch`).
@@ -581,3 +600,4 @@ def drive(
             if on_barrier is not None:
                 on_barrier()
         server.run_pending()
+        yield

@@ -33,7 +33,7 @@ from repro.mcs import (
 )
 from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor, QualityAssessor
-from repro.serve import DecisionServer, ServeConfig, drive
+from repro.serve import DecisionServer, ServeConfig, drive, drive_rounds
 
 
 def build_fixture(dataset_seed=0, *, n_cells=8):
@@ -242,6 +242,32 @@ class TestConcurrentRunners:
         for runner, n_cycles in runners:
             assert runner.results[0].n_cycles == n_cycles
         assert server.pending == 0
+
+    def test_drive_rounds_interleaves_fleets_without_changing_them(self):
+        def fleet():
+            task, policies, config = build_fixture()
+            server = DecisionServer(ServeConfig(max_batch=32, max_wait_ticks=1))
+            runner = ServedCampaignRunner(task, config, server=server)
+            return server, runner, runner.launch(policies, n_cycles=4)
+
+        server, alone, driver = fleet()
+        drive(server, [driver])
+
+        fleets = [fleet(), fleet()]
+        rounds = {
+            id(server): drive_rounds(server, [driver]) for server, _, driver in fleets
+        }
+        live = [server for server, _, _ in fleets]
+        while live:
+            for server in tuple(live):
+                try:
+                    next(rounds[id(server)])
+                except StopIteration:
+                    live.remove(server)
+                # Each round ends with the server's pending work resolved.
+                assert server.pending == 0
+        for _, runner, _ in fleets:
+            assert_results_bitwise_equal(alone.results, runner.results)
 
 
 class TestFigure6TinyParity:

@@ -70,7 +70,8 @@ def run_fresh(program: str) -> str:
     return result.stdout.strip()
 
 
-def test_package_import_loads_no_scipy():
+def test_package_import_leaves_scipy_stats_unloaded():
+    """No SciPy module at all loads, so in particular no ``scipy.stats``."""
     assert run_fresh(IMPORT_PROGRAM) == ""
 
 
