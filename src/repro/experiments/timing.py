@@ -8,17 +8,18 @@ training loop at a given experiment scale, together with throughput numbers
 that make it easy to extrapolate to larger scales.
 
 :func:`run_als_backends` complements the end-to-end number with a
-microbenchmark of the ALS completion kernel itself: one synthetic low-rank
-matrix per size class, completed once per registered execution backend
-(:mod:`repro.inference.backends`), reporting wall-clock time, speedup over
-the ``numpy`` baseline, and the maximum deviation from the baseline's
-result.
+microbenchmark of the ALS completion kernel itself, per registered execution
+backend (:mod:`repro.inference.backends`): one synthetic low-rank matrix per
+size class through ``complete``, and stacks of K small windows through
+``complete_batch``, reporting the median over paired rounds of the
+wall-clock time, the speedup over the ``numpy`` baseline and the maximum
+deviation from the baseline's result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,6 +141,19 @@ ALS_BENCH_SIZES: Mapping[str, Tuple[int, int]] = {
     "full": (6000, 96),
 }
 
+#: Stack sizes K of the ``complete_batch`` rows: one window, a training
+#: fleet's quality checks, and an LOO assessment's held-out copies.
+ALS_BENCH_STACKS: Tuple[int, ...] = (1, 8, 34)
+
+#: The stacked rows complete 20-cell × 8-cycle windows with 8 sweeps: the
+#: SMALL-scale window (20 cells, 8-cycle history) and sweep budget that the
+#: perfbench workloads run.
+ALS_STACK_WINDOW: Tuple[int, int] = (20, 8)
+ALS_STACK_ITERATIONS = 8
+
+#: Paired rounds every backend runs after its warm-up; rows report medians.
+ALS_BENCH_ROUNDS = 5
+
 
 def synthetic_low_rank(
     n_cells: int,
@@ -167,9 +181,35 @@ def synthetic_low_rank(
     return np.where(mask, np.nan, data)
 
 
+def _time_backends(
+    solvers: Mapping[str, CompressiveSensingInference],
+    run: Callable[[CompressiveSensingInference], object],
+) -> Tuple[Dict[str, List[float]], Dict[str, float]]:
+    """Seconds of ``run`` on each solver per paired round, and its deviation.
+
+    Each solver first runs once: the warm-up, whose result gives the maximum
+    absolute deviation from the ``numpy`` solver's.  Then every round runs
+    every solver once, back to back, so a busy host slows a round's calls
+    alike and the per-round ratios stay comparable.
+    """
+    results = {name: np.asarray(run(solver)) for name, solver in solvers.items()}
+    deviation = {
+        name: float(np.abs(result - results["numpy"]).max())
+        for name, result in results.items()
+    }
+    seconds: Dict[str, List[float]] = {name: [] for name in solvers}
+    for _ in range(ALS_BENCH_ROUNDS):
+        for name, solver in solvers.items():
+            start = monotonic()
+            run(solver)
+            seconds[name].append(monotonic() - start)
+    return seconds, deviation
+
+
 def run_als_backends(
     sizes: Optional[Mapping[str, Tuple[int, int]]] = None,
     *,
+    stacks: Optional[Sequence[int]] = None,
     backends: Optional[Sequence[str]] = None,
     iterations: int = 10,
     rank: int = 3,
@@ -178,55 +218,91 @@ def run_als_backends(
 ) -> List[Dict[str, object]]:
     """Time every ALS execution backend on synthetic low-rank matrices.
 
-    For each size class one partially observed matrix is generated, then
-    completed once per backend with identical hyper-parameters and the same
-    frozen initialisation seed, so the runs are directly comparable.  Each
-    row reports the wall-clock seconds, the speedup over the ``numpy``
-    baseline at the same size, and the maximum absolute deviation from the
-    baseline's completion (0.0 for bit-exact backends).
+    ``complete`` rows: for each size class one partially observed matrix is
+    generated, then completed per backend with identical hyper-parameters
+    and the same frozen initialisation seed, so the runs are directly
+    comparable.  ``complete_batch`` rows: for each stack size K in
+    ``stacks`` (default :data:`ALS_BENCH_STACKS`), K distinct
+    :data:`ALS_STACK_WINDOW` windows are completed in one call.
+
+    Each backend first completes its input once (the warm-up, whose result
+    gives the maximum absolute deviation from the ``numpy`` baseline: 0.0
+    for bit-exact backends), then all backends run
+    :data:`ALS_BENCH_ROUNDS` paired rounds.  Rows report the median seconds
+    (``complete_batch`` rows as ms per call and matrices/s), and
+    ``complete`` rows the median of the per-round speedups over the
+    baseline.
 
     ``backends`` defaults to every *registered* backend — optional backends
     whose dependency is missing are silently absent, so the benchmark runs
     everywhere.
     """
     sizes = dict(sizes if sizes is not None else ALS_BENCH_SIZES)
+    stacks = tuple(stacks if stacks is not None else ALS_BENCH_STACKS)
     names = list(backends) if backends is not None else list(available_backends())
     if "numpy" in names:  # the baseline anchors the speedup column
         names.remove("numpy")
     names.insert(0, "numpy")
 
+    def solvers(sweeps: int) -> Dict[str, CompressiveSensingInference]:
+        return {
+            backend: CompressiveSensingInference(
+                rank=rank, iterations=sweeps, seed=seed, backend=backend
+            )
+            for backend in names
+        }
+
+    # The sub-millisecond stacked calls run first: after the multi-megabyte
+    # size classes, the allocator's state makes their timings erratic.
     rows: List[Dict[str, object]] = []
+    n_cells, n_cycles = ALS_STACK_WINDOW
+    for stack in stacks:
+        windows = [
+            synthetic_low_rank(n_cells, n_cycles, rank=rank, missing=missing, seed=seed + k)
+            for k in range(stack)
+        ]
+        seconds, deviation = _time_backends(
+            solvers(ALS_STACK_ITERATIONS),
+            lambda solver: solver.complete_batch(windows),
+        )
+        for backend in names:
+            median = float(np.median(seconds[backend]))
+            rows.append(
+                {
+                    "kernel": "complete_batch",
+                    "backend": backend,
+                    "stack": stack,
+                    "n_cells": n_cells,
+                    "n_cycles": n_cycles,
+                    "iterations": ALS_STACK_ITERATIONS,
+                    "rounds": ALS_BENCH_ROUNDS,
+                    "ms_per_call": round(median * 1e3, 3),
+                    "matrices_per_second": round(stack / median, 1),
+                    "max_abs_diff_vs_numpy": deviation[backend],
+                }
+            )
     for size_name, (n_cells, n_cycles) in sizes.items():
         observed = synthetic_low_rank(
             n_cells, n_cycles, rank=rank, missing=missing, seed=seed
         )
-        baseline_seconds = None
-        baseline_result = None
+        seconds, deviation = _time_backends(
+            solvers(iterations), lambda solver: solver.complete(observed)
+        )
         for backend in names:
-            inference = CompressiveSensingInference(
-                rank=rank, iterations=iterations, seed=seed, backend=backend
-            )
-            start = monotonic()
-            completed = inference.complete(observed)
-            elapsed = monotonic() - start
-            if backend == "numpy":
-                baseline_seconds, baseline_result = elapsed, completed
             rows.append(
                 {
+                    "kernel": "complete",
                     "backend": backend,
                     "size": size_name,
                     "n_cells": n_cells,
                     "n_cycles": n_cycles,
                     "iterations": iterations,
-                    "wall_clock_seconds": round(elapsed, 4),
-                    "speedup_vs_numpy": round(baseline_seconds / elapsed, 2)
-                    if baseline_seconds
-                    else 1.0,
-                    "max_abs_diff_vs_numpy": float(
-                        np.abs(completed - baseline_result).max()
-                    )
-                    if baseline_result is not None
-                    else 0.0,
+                    "rounds": ALS_BENCH_ROUNDS,
+                    "wall_clock_seconds": round(float(np.median(seconds[backend])), 4),
+                    "speedup_vs_numpy": round(
+                        float(np.median(np.divide(seconds["numpy"], seconds[backend]))), 2
+                    ),
+                    "max_abs_diff_vs_numpy": deviation[backend],
                 }
             )
     return rows

@@ -33,6 +33,7 @@ configuration bit-exact with the pre-backend kernel.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -60,6 +61,48 @@ def solve_small(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             raise np.linalg.LinAlgError("Singular matrix")
         return out
     return np.linalg.solve(gram, rhs)
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def solve_stack(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a stack of small dense systems ``grams[...] @ x = rhs[...]``.
+
+    Byte-identical to ``np.linalg.solve(grams, rhs[..., None])[..., 0]``
+    (the same LAPACK ``gesv`` per system, under the same floating-point
+    error state, so a singular system raises ``LinAlgError`` and warns
+    nothing) without the wrapper and the column-vector round trip.
+    """
+    if _solve_vector is None:
+        return np.linalg.solve(grams, rhs[..., None])[..., 0]
+    with np.errstate(
+        call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return _solve_vector(grams, rhs)
+
+
+@functools.lru_cache(maxsize=16)
+def packed_pairs(rank: int) -> Tuple[int, np.ndarray, np.ndarray]:
+    """The packed upper-triangle layout of a ``rank × rank`` gram.
+
+    Returns the number of pairs ``r ≤ s`` (in ``np.triu_indices`` order),
+    the factor columns of every pair's first members followed by its second
+    members, and ``mirror[r, s]``, the packed index of the pair
+    ``(min(r, s), max(r, s))``.  Cached per rank, because building them
+    costs more than a whole sweep on a small stack; the arrays are
+    read-only since every caller shares them.
+    """
+    upper = np.triu_indices(rank)
+    n_pairs = len(upper[0])
+    pair_columns = np.concatenate(upper)
+    mirror = np.empty((rank, rank), dtype=np.intp)
+    mirror[upper] = np.arange(n_pairs)
+    mirror[upper[::-1]] = mirror[upper]
+    pair_columns.flags.writeable = False
+    mirror.flags.writeable = False
+    return n_pairs, pair_columns, mirror
 
 
 @dataclass
@@ -321,10 +364,19 @@ class ALSBackend(abc.ABC):
         ``tolerance`` is zero and ``shard_rows`` is unset; row-block sharding
         changes only BLAS reduction grouping (~1e-15 rounding).
 
-        Both grams are ``einsum`` reductions, never BLAS products: the
-        einsum sums over the contracted axis sequentially, so moving the
-        operands' memory layout (the transposed mask below) leaves every
-        byte unchanged, whereas a BLAS matmul blocks and reorders the sum.
+        Both grams are ``einsum`` reductions, never BLAS products.  A
+        three-operand einsum adds the contracted terms in index order
+        whatever the layout; a two-operand einsum only while no operand is
+        contiguous along the contracted axis (otherwise NumPy may reduce it
+        with several SIMD partial sums).  For rank ≥ 2 each gram is one
+        two-operand einsum of the 0/1 mask against the packed upper-triangle
+        products ``F_r F_s`` (r ≤ s), mirrored to ``rank × rank``, in
+        layouts that keep the contracted axis strided: with a 0/1 mask
+        ``(m F_r) F_s == m (F_r F_s)`` up to a signed zero that the ridge
+        ``+=`` normalises.  One-cell and one-cycle stacks would make the
+        mask contiguous along the contracted axis; they clamp to rank 1, and
+        rank-1 stacks keep the three-operand grams.  ``docs/backends.md``
+        has the measurements.
         """
         normalised, maskf = problem.normalised, problem.maskf
         U, V = problem.cell_init, problem.cycle_init
@@ -333,15 +385,21 @@ class ALSBackend(abc.ABC):
         mu = problem.mu
         eye = np.eye(rank)
         n_cells = normalised.shape[1]
-        # Row blocks as slices: views keep the mask C-contiguous, where
-        # fancy indexing would copy it into a slower (cells-first) layout.
+        # Row blocks as slices: a view keeps the mask's strides, so even a
+        # one-row block of the cells-last mask stays strided along the
+        # contracted cycles.  A fancy-indexed copy would make that axis
+        # stride-1 and change the packed einsum's summation order.
         blocks = [
             slice(rows[0], rows[-1] + 1)
             for rows in row_blocks(n_cells, problem.shard_rows)
         ]
-        # The cycle gram sums over cells; a cells-last copy of the mask makes
-        # that sum stride-1 without changing its order.
+        # Cells-last copy of the mask, made once per solve: the packed cell
+        # gram contracts its (strided) cycle axis, and the three-operand
+        # rank-1 cycle gram reads its cells stride-1.
         mask_t = np.ascontiguousarray(maskf.transpose(0, 2, 1))
+        packed = rank > 1
+        if packed:
+            n_pairs, pair_columns, mirror = packed_pairs(rank)
         # Identity gates keep non-updating factors at their prior value; when
         # every factor updates they are a byte-for-byte no-op, so skip them.
         gate_rows = not problem.row_has_obs.all()
@@ -355,23 +413,34 @@ class ALSBackend(abc.ABC):
             # bounded.  Rows with no observation keep their prior factor via
             # an identity system, so the stacked solve cannot hit a singular
             # slot.
+            if packed:
+                columns = V[:, :, pair_columns]
+                pairs = columns[..., :n_pairs] * columns[..., n_pairs:]
             for block in blocks:
-                grams = np.einsum("kij,kjr,kjs->kirs", maskf[:, block], V, V)
+                if packed:
+                    grams = np.einsum("kji,kjt->kit", mask_t[:, :, block], pairs)[..., mirror]
+                else:
+                    grams = np.einsum("kij,kjr,kjs->kirs", maskf[:, block], V, V)
                 grams += ridge
                 rhs = normalised[:, block] @ V
                 if gate_rows:
                     has_obs = problem.row_has_obs[:, block]
                     grams = np.where(has_obs[..., None], grams, eye)
-                    solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
-                    U[:, block] = np.where(has_obs, solved, U[:, block])
+                    U[:, block] = np.where(has_obs, solve_stack(grams, rhs), U[:, block])
                 else:
-                    U[:, block] = np.linalg.solve(grams, rhs[..., None])[..., 0]
+                    U[:, block] = solve_stack(grams, rhs)
 
             # Cycle half-step (Jacobi): neighbours come from the previous
             # sweep's V, so all columns solve in one stacked call.
-            grams = np.einsum("kji,kir,kis->kjrs", mask_t, U, U)
+            if packed:
+                columns = U[:, :, pair_columns]
+                pairs = columns[..., :n_pairs] * columns[..., n_pairs:]
+                grams = np.einsum("kij,kit->kjt", maskf, pairs)[..., mirror]
+            else:
+                grams = np.einsum("kji,kir,kis->kjrs", mask_t, U, U)
             grams += ridge
-            rhs = np.einsum("kij,kir->kjr", normalised, U)
+            # Cycles-last output: the inner loop runs along the cycles.
+            rhs = np.einsum("kij,kir->krj", normalised, U).transpose(0, 2, 1)
             if mu > 0:
                 # zeros_like then ``+=``, not assignment: ``0.0 + -0.0`` is
                 # ``+0.0``, so assigning would change signed zeros.
@@ -386,7 +455,7 @@ class ALSBackend(abc.ABC):
                 rhs += mu * neighbor_sum
             if gate_cols:
                 grams = np.where(problem.col_update[..., None], grams, eye)
-            solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
+            solved = solve_stack(grams, rhs)
             V = np.where(problem.col_update, solved, V) if gate_cols else solved
 
             sweeps_run += 1

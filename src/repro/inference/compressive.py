@@ -179,9 +179,10 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         Python overhead of :meth:`complete` costs.  Matrices are grouped by
         shape and each group is solved with a fully batched ALS
         (``np.einsum`` grams, stacked LAPACK solves).  The grams stay einsum
-        reductions, never BLAS products: the einsum sums in a fixed
-        sequential order whatever the operand layout, which keeps the sweep
-        byte-identical as it is optimised (see ``ALSBackend.solve_stacked``).
+        reductions, never BLAS products, laid out so that no operand is
+        contiguous along the contracted axis: only then does the einsum add
+        the terms in index order, which keeps the sweep byte-identical as it
+        is optimised (see ``ALSBackend.solve_stacked``).
 
         The batched solver optimises the same objective with the same
         initialisation and iteration budget, but updates the cycle factors
@@ -199,9 +200,9 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         because reductions over the longer padded axes (NumPy's pairwise
         normalisation sums, the cell half-step's BLAS right-hand side) may
         group the same terms differently, results can differ from the
-        per-shape solve by float rounding (~1e-12 on data of order 10 —
-        uniform-width groups remain bitwise identical, no padding is
-        involved).  Fleets whose windows span many distinct widths — e.g.
+        per-shape solve by float rounding (within 2e-12 relative on data of
+        order 10 — uniform-width groups remain bitwise identical, no padding
+        is involved).  Fleets whose windows span many distinct widths — e.g.
         campaigns at different cycles pooled by the decision server —
         therefore still fuse into a single ALS instead of
         degenerating to per-shape calls.  Matrices narrower than the
@@ -281,7 +282,8 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         the cycle-factor updates are then restricted to each slot's true
         columns, so the padded solve optimises exactly the per-shape
         objective (padded columns contribute only zero terms; see
-        :meth:`complete_batch` for the resulting ~1e-15 rounding caveat).
+        :meth:`complete_batch` for the resulting 2e-12 relative rounding
+        caveat).
 
         The sweep loop itself runs through the active backend's
         ``solve_stacked`` (all built-in backends share the NumPy Jacobi

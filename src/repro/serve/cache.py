@@ -4,7 +4,8 @@ Matrix completion is deterministic — :class:`~repro.inference.compressive.
 CompressiveSensingInference` freezes its initialisation seed — and in a
 stack of one width the batched solver's per-slot result does not depend, by
 a single byte, on which other matrices share the stack.  A width-padded
-stack (same cell count, more cycles) may round differently, within ~1e-12.
+stack (same cell count, more cycles) may round differently, within 2e-12
+relative.
 A cache hit returns the bytes of the solve that filled the entry: a
 recomputation in a same-width batch gives the same bytes, one in a padded
 batch agrees to float rounding.  Campaigns hit the same (inference
@@ -194,8 +195,8 @@ class CachingInference(InferenceAlgorithm):
     :class:`~repro.inference.base.InferenceAlgorithm` interface, proxies
     ``supports_batch_completion`` so batching probes keep working, and
     returns what the wrapped algorithm would return: a cache hit is bitwise
-    identical to a recomputation in a same-width batch, and within ~1e-12 of
-    one in a width-padded batch (see the module docstring).
+    identical to a recomputation in a same-width batch, and within 2e-12
+    relative of one in a width-padded batch (see the module docstring).
 
     ``complete_batch`` additionally deduplicates *within* the batch: a pooled
     call carrying the same partial matrix K times (replicated campaigns,

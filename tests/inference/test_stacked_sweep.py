@@ -2,9 +2,10 @@
 
 ``ALSBackend.solve_stacked`` is the kernel behind every ``complete_batch``,
 so every LOO assessment and training quality check runs it.  Its leaner form
-(views for row blocks, a cells-last mask for the cycle gram, identity gates
-skipped when every factor updates, in-place ridge/smoothness terms) must
-return the same bytes as the sweep it replaced.  ``reference_solve_stacked``
+(views for row blocks, packed upper-triangle grams reduced by two-operand
+einsums, direct stacked LAPACK solves, identity gates skipped when every
+factor updates, in-place ridge/smoothness terms) must return the same bytes
+as the sweep it replaced.  ``reference_solve_stacked``
 below keeps that earlier sweep verbatim; each test captures the
 ``StackedALSProblem`` objects that ``CompressiveSensingInference.
 complete_batch`` really builds and compares ``tobytes()`` of U, V and the
@@ -15,12 +16,18 @@ covers the gating, width-bucketing, sharding and early-exit branches.
 from __future__ import annotations
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.inference.backends import get_backend
-from repro.inference.backends.base import ALSBackend, factor_delta, row_blocks
+from repro.inference.backends import base, get_backend
+from repro.inference.backends.base import (
+    ALSBackend,
+    StackedALSProblem,
+    factor_delta,
+    row_blocks,
+)
 from repro.inference.compressive import CompressiveSensingInference
 
 #: The sweep under test, taken before any test patches the class.
@@ -214,4 +221,95 @@ def test_many_random_problems(captured):
             seed=int(rng.integers(1000)),
         ).complete_batch(matrices)
     assert len(captured) >= 40
+    assert_byte_parity(captured)
+
+
+def loo_stack(rng, n_windows=4):
+    """20x8 windows, each followed by copies that hold out one observed entry
+    of its current (last) column, as the LOO assessment stacks them."""
+    matrices = []
+    for _ in range(n_windows):
+        window = random_matrix(rng, 20, 8, density=0.6)
+        matrices.append(window)
+        for row in np.flatnonzero(~np.isnan(window[:, -1])):
+            held_out = window.copy()
+            held_out[row, -1] = np.nan
+            matrices.append(held_out)
+    return matrices
+
+
+@pytest.mark.parametrize("shard_rows", [None, 1])
+def test_loo_shaped_stack(captured, shard_rows):
+    """The large same-width stacks of an LOO assessment (K >= 34), whose
+    packed grams run the widest einsums; ``shard_rows=1`` makes every row
+    block a single-row view of the cells-last mask."""
+    rng = np.random.default_rng(34)
+    matrices = loo_stack(rng)
+    solve(captured, matrices, rank=3, temporal_weight=0.1, iterations=8, shard_rows=shard_rows)
+    assert len(captured) == 1 and captured[0].normalised.shape[0] >= 34
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(1, 8), (10, 1)], ids=["one_cell", "one_cycle"])
+def test_one_cell_and_one_cycle_stacks_clamp_to_rank_one(captured, shape, rank):
+    """These are the shapes whose mask is contiguous along a contracted axis,
+    so they must keep the three-operand grams."""
+    rng = np.random.default_rng(40 + rank)
+    matrices = [random_matrix(rng, *shape, density=0.7) for _ in range(5)]
+    solve(captured, matrices, rank=rank, temporal_weight=0.1)
+    assert all(problem.rank == 1 for problem in captured)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_slot_bytes_do_not_depend_on_the_stack(rank):
+    rng = np.random.default_rng(50 + rank)
+    a, b, c = (random_matrix(rng, 20, 8, empty_rows=2) for _ in range(3))
+    als = CompressiveSensingInference(rank=rank, temporal_weight=0.1, seed=3)
+    alone = als.complete_batch([a])[0]
+    shared = als.complete_batch([b, a, c])[1]
+    assert alone.tobytes() == shared.tobytes()
+
+
+def singular_problem():
+    """Regularization 0 and a row whose only observation meets the cycle
+    factor ``(1, 0)``: that row's cell gram is exactly singular."""
+    mask = np.ones((1, 3, 4), dtype=bool)
+    mask[0, 0, 1:] = False
+    rng = np.random.default_rng(60)
+    cycle_init = rng.standard_normal((1, 4, 2))
+    cycle_init[0, 0] = (1.0, 0.0)
+    return StackedALSProblem(
+        normalised=np.where(mask, rng.standard_normal(mask.shape), 0.0),
+        maskf=mask.astype(float),
+        cell_init=rng.standard_normal((1, 3, 2)),
+        cycle_init=cycle_init,
+        regularization=0.0,
+        mu=0.0,
+        iterations=2,
+        row_has_obs=mask.any(axis=2)[..., None],
+        col_update=mask.any(axis=1)[..., None],
+        smooth=np.zeros((4, 2, 2)),
+    )
+
+
+@pytest.mark.parametrize("raw_lapack", [True, False], ids=["raw", "fallback"])
+def test_singular_stack_raises_without_warning(monkeypatch, raw_lapack):
+    if not raw_lapack:
+        monkeypatch.setattr(base, "_solve_vector", None)
+    with pytest.raises(np.linalg.LinAlgError):
+        reference_solve_stacked(singular_problem())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solve_stacked(get_backend("numpy"), singular_problem())
+
+
+def test_fallback_solve_is_byte_identical(captured, monkeypatch):
+    """Without NumPy's private LAPACK module the sweep falls back to
+    ``np.linalg.solve`` and still returns the reference bytes."""
+    rng = np.random.default_rng(70)
+    CompressiveSensingInference(rank=3, temporal_weight=0.1, seed=0).complete_batch(
+        [random_matrix(rng, 20, 8, empty_rows=2) for _ in range(6)]
+    )
+    monkeypatch.setattr(base, "_solve_vector", None)
     assert_byte_parity(captured)

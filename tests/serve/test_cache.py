@@ -185,7 +185,17 @@ class TestCachingInference:
 
 class TestBatchCompositionContract:
     """What a cache hit equals: the bytes of a recomputation within one
-    width, and the recomputation to ~1e-12 when the batch pads the width."""
+    width, and the recomputation to 2e-12 relative when the batch pads the
+    width."""
+
+    #: ALS initialisation seeds.  Over seeds 0-299 the padded solve differs
+    #: from the solve alone by at most 1.44e-12 relative (seed 51; 2.1e-11
+    #: absolute on data of 10-30); 42, 47, 51, 89, 93 and 129 are the six
+    #: seeds above 1e-12, 157 the next.
+    INIT_SEEDS = (0, 1, 42, 47, 51, 89, 93, 129, 157)
+
+    #: The padded-stack bound asserted below and quoted in the docs.
+    PADDED_RTOL = 2e-12
 
     @staticmethod
     def window(rng, width):
@@ -195,25 +205,27 @@ class TestBatchCompositionContract:
         return matrix
 
     def test_same_width_batches_are_bytewise_independent(self):
-        als = CompressiveSensingInference()
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            a, b, c = (self.window(rng, 5) for _ in range(3))
-            alone = als.complete_batch([a])[0]
-            for batch, position in (([a, b], 0), ([b, a, c], 1)):
-                shared = als.complete_batch(batch)[position]
-                assert alone.tobytes() == shared.tobytes()
+        for seed in self.INIT_SEEDS:
+            als = CompressiveSensingInference(seed=seed)
+            rng = np.random.default_rng(0)
+            for _ in range(40):
+                a, b, c = (self.window(rng, 5) for _ in range(3))
+                alone = als.complete_batch([a])[0]
+                for batch, position in (([a, b], 0), ([b, a, c], 1)):
+                    shared = als.complete_batch(batch)[position]
+                    assert alone.tobytes() == shared.tobytes()
 
     def test_padded_batches_agree_to_float_rounding(self):
-        als = CompressiveSensingInference()
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            a, wide = self.window(rng, 5), self.window(rng, 8)
-            wrapped = CachingInference(als, CompletionCache(capacity=8))
-            # The 20x5 window is solved padded to width 8 and cached ...
-            wrapped.complete_batch([a, wide])
-            hit = wrapped.complete(a)
-            assert wrapped.cache.hits == 1
-            # ... so the hit is the padded solve, not the bytes of a solve alone.
-            alone = als.complete_batch([a])[0]
-            np.testing.assert_allclose(hit, alone, rtol=1e-12, atol=0.0)
+        for seed in self.INIT_SEEDS:
+            als = CompressiveSensingInference(seed=seed)
+            rng = np.random.default_rng(0)
+            for _ in range(40):
+                a, wide = self.window(rng, 5), self.window(rng, 8)
+                wrapped = CachingInference(als, CompletionCache(capacity=8))
+                # The 20x5 window is solved padded to width 8 and cached ...
+                wrapped.complete_batch([a, wide])
+                hit = wrapped.complete(a)
+                assert wrapped.cache.hits == 1
+                # ... so the hit is the padded solve, not the bytes of a solve alone.
+                alone = als.complete_batch([a])[0]
+                np.testing.assert_allclose(hit, alone, rtol=self.PADDED_RTOL, atol=0.0)
