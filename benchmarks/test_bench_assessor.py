@@ -8,9 +8,12 @@ completions solved one at a time (the seed protocol) against the batched
 path (all held-out windows in one ``complete_batch`` call), plus the pooled
 ``assess_many`` path used by the lockstep campaign runner.
 
-Results go to ``benchmarks/results/assessor.json``.  Smoke mode for CI:
-``ASSESSOR_BENCH_SMOKE=1`` runs a single repetition so regressions in the
-batched path fail fast without paying the full measurement.
+The three modes run back to back in 5 paired rounds, after a discarded
+warm-up pass that pays the process's one-time costs; the asserted ratios are
+the median round's.  Results go to ``benchmarks/results/assessor.json``.
+Smoke mode for CI: ``ASSESSOR_BENCH_SMOKE=1`` runs a single round so
+regressions in the batched path fail fast without paying the full
+measurement.
 """
 
 import os
@@ -31,6 +34,7 @@ N_CELLS = 20
 HISTORY = 24
 SENSED_PER_CYCLE = 15
 REQUIREMENT = QualityRequirement(epsilon=0.3, p=0.9, metric="mae")
+MODES = ("sequential", "batched", "assess_many_pooled")
 
 
 def _smoke_mode() -> bool:
@@ -79,10 +83,34 @@ def _pooled_throughput(assessor, states, inference, repeats):
     return repeats * len(states), elapsed
 
 
+def _paired_rounds(rounds, make, states, inference):
+    """Run ``rounds`` back-to-back (sequential, batched, pooled) triples after a warm-up.
+
+    Each mode assesses every state once per round with a fresh assessor, so
+    all rounds do the same work.  Returns each mode's per-round seconds.
+    """
+    warm_up = states[:1]
+    _throughput(make(batched=False), warm_up, inference, 1)
+    _throughput(make(batched=True), warm_up, inference, 1)
+    _pooled_throughput(make(batched=True), warm_up, inference, 1)
+    seconds = {mode: [] for mode in MODES}
+    for _ in range(rounds):
+        seconds["sequential"].append(_throughput(make(batched=False), states, inference, 1)[1])
+        seconds["batched"].append(_throughput(make(batched=True), states, inference, 1)[1])
+        seconds["assess_many_pooled"].append(
+            _pooled_throughput(make(batched=True), states, inference, 1)[1]
+        )
+    return seconds
+
+
+def _median(values):
+    return sorted(values)[len(values) // 2]
+
+
 def test_bench_assessor_batched_throughput(benchmark):
     """Record sequential vs batched assessment throughput at max_loo_cells=12."""
     smoke = _smoke_mode()
-    repeats = 1 if smoke else 5
+    rounds = 1 if smoke else 5
     states = _assessment_inputs(2 if smoke else 6)
     inference = CompressiveSensingInference(iterations=8, seed=0)
 
@@ -95,9 +123,7 @@ def test_bench_assessor_batched_throughput(benchmark):
             rng=np.random.default_rng(0),
         )
 
-    n_seq, t_seq = _throughput(make(batched=False), states, inference, repeats)
-    n_bat, t_bat = _throughput(make(batched=True), states, inference, repeats)
-    n_pool, t_pool = _pooled_throughput(make(batched=True), states, inference, repeats)
+    seconds = _paired_rounds(rounds, make, states, inference)
     benchmark.pedantic(
         _throughput,
         args=(make(batched=True), states, inference, 1),
@@ -105,14 +131,16 @@ def test_bench_assessor_batched_throughput(benchmark):
         iterations=1,
     )
 
-    seq_rate = n_seq / t_seq
+    # Per-round speedups over the same round's sequential pass; the asserted
+    # figure is the median round's, which one round disturbed by a busy host
+    # cannot move.
+    speedups = {
+        mode: [t_seq / t for t_seq, t in zip(seconds["sequential"], seconds[mode])]
+        for mode in MODES
+    }
     rows = []
-    for mode, n, elapsed in (
-        ("sequential", n_seq, t_seq),
-        ("batched", n_bat, t_bat),
-        ("assess_many_pooled", n_pool, t_pool),
-    ):
-        rate = n / elapsed
+    for mode in MODES:
+        best = min(seconds[mode])
         rows.append(
             {
                 "mode": mode,
@@ -120,10 +148,12 @@ def test_bench_assessor_batched_throughput(benchmark):
                 "n_cells": N_CELLS,
                 "history_window": HISTORY,
                 "sensed_per_cycle": SENSED_PER_CYCLE,
-                "assessments": n,
-                "seconds": round(elapsed, 4),
-                "assessments_per_second": round(rate, 2),
-                "speedup_vs_sequential": round(rate / seq_rate, 2),
+                "assessments": len(states),
+                "rounds": rounds,
+                "seconds": round(best, 4),
+                "assessments_per_second": round(len(states) / best, 2),
+                "speedup_vs_sequential": round(_median(speedups[mode]), 2),
+                "round_speedups": [round(r, 4) for r in speedups[mode]],
                 "smoke": smoke,
             }
         )
@@ -132,7 +162,11 @@ def test_bench_assessor_batched_throughput(benchmark):
     # The acceptance bar: batching 12 LOO completions into one stacked ALS
     # must at least double assessment throughput (measured ~6-7x locally, so
     # 2x stays robust to machine noise).
-    assert n_bat / t_bat >= 2.0 * seq_rate
+    batched = _median(speedups["batched"])
+    assert batched >= 2.0, f"median round batched speedup {batched:.2f} below 2x"
     # Pooling whole slots through assess_many must not be slower than the
     # per-slot batched path.
-    assert n_pool / t_pool >= n_bat / t_bat * 0.8
+    pooled = _median(
+        [t_bat / t_pool for t_bat, t_pool in zip(seconds["batched"], seconds["assess_many_pooled"])]
+    )
+    assert pooled >= 0.8, f"median round pooled/batched throughput {pooled:.2f} below 0.8"

@@ -19,10 +19,13 @@ Two fleets are measured:
   / A-B comparison regime the completion cache targets): fusion plus
   within-batch deduplication, so N campaigns cost barely more than one.
 
-Results go to ``benchmarks/results/serve.json`` with cache hit rates, batch
-occupancy, and p50/p99 per-request latency.  Smoke mode for CI:
-``SERVE_BENCH_SMOKE=1`` shrinks the fleet and skips the speedup assertions
-(they need the full-size run).
+Each fleet runs its two modes back to back in 5 paired rounds, after a
+discarded one-campaign round that pays the process's one-time costs; the
+asserted speedups are the median round's.  Results go to
+``benchmarks/results/serve.json`` with cache hit rates, batch occupancy, and
+p50/p99 per-request latency.  Smoke mode for CI: ``SERVE_BENCH_SMOKE=1``
+shrinks the fleet, runs one round and skips the speedup assertions (they
+need the full-size run).
 """
 
 import os
@@ -146,28 +149,50 @@ def _row(mode, n_campaigns, results, elapsed, server, baseline_rate):
     return row
 
 
+def _paired_rounds(rounds: int, n_campaigns: int, *, replicated: bool):
+    """Run ``rounds`` back-to-back (sequential, served) pairs after a warm-up.
+
+    Returns the per-round speedups, each mode's best seconds, and the last
+    round's results (the served side with its server) — every round runs
+    the same campaigns.
+    """
+    _run_sequential(1, replicated=replicated)
+    _run_served(1, replicated=replicated)
+    speedups = []
+    best_seq = best_served = float("inf")
+    for _ in range(rounds):
+        sequential_results, t_seq, _ = _run_sequential(n_campaigns, replicated=replicated)
+        served_results, t_served, server = _run_served(n_campaigns, replicated=replicated)
+        speedups.append(t_seq / t_served)
+        best_seq = min(best_seq, t_seq)
+        best_served = min(best_served, t_served)
+    return speedups, best_seq, best_served, (sequential_results, served_results, server)
+
+
 def test_bench_serve_throughput(benchmark):
     """Record concurrent served throughput vs per-campaign sequential dispatch."""
     smoke = _smoke_mode()
     n_campaigns = 3 if smoke else 8
+    rounds = 1 if smoke else 5
 
     rows = []
     fleets = {}
     for fleet in ("distinct", "replicated"):
-        replicated = fleet == "replicated"
-        sequential_results, t_seq, _ = _run_sequential(n_campaigns, replicated=replicated)
-        served_results, t_served, server = _run_served(
-            n_campaigns, replicated=replicated
+        speedups, t_seq, t_served, (sequential_results, served_results, server) = (
+            _paired_rounds(rounds, n_campaigns, replicated=fleet == "replicated")
         )
-        baseline_rate = n_campaigns * N_CYCLES / t_seq
+        speedup = sorted(speedups)[len(speedups) // 2]
         rows.append(
             _row(f"sequential_{fleet}", n_campaigns, sequential_results, t_seq, None, None)
         )
-        rows.append(
-            _row(f"served_{fleet}", n_campaigns, served_results, t_served, server,
-                 baseline_rate)
+        row = _row(
+            f"served_{fleet}", n_campaigns, served_results, t_served, server,
+            n_campaigns * N_CYCLES / t_seq,
         )
-        fleets[fleet] = (t_seq, t_served, server)
+        row["speedup_vs_sequential"] = round(speedup, 2)
+        row["round_speedups"] = [round(r, 4) for r in speedups]
+        rows.append(row)
+        fleets[fleet] = (speedup, server)
 
     benchmark.pedantic(
         _run_served,
@@ -178,17 +203,18 @@ def test_bench_serve_throughput(benchmark):
     )
     write_result("serve", rows)
 
-    for fleet, (t_seq, t_served, server) in fleets.items():
+    for fleet, (_, server) in fleets.items():
         # Requests pooled across campaigns: occupancy must beat one-per-batch.
         assert server.stats.endpoint("assess").mean_batch_occupancy > 1.0
     if not smoke:
-        t_seq, t_served, server = fleets["replicated"]
+        speedup, server = fleets["replicated"]
         # The acceptance bar: ≥ 8 concurrent campaigns through the server beat
-        # per-campaign sequential dispatch by ≥ 2× (measured ~4-6x locally for
-        # the replicated fleet — fusion + cache — so 2x is robust to noise).
-        assert t_seq / t_served >= 2.0
+        # per-campaign sequential dispatch by ≥ 2× in the median round
+        # (measured ~4-6x locally for the replicated fleet — fusion + cache —
+        # so 2x is robust to noise).
+        assert speedup >= 2.0, f"median round replicated speedup {speedup:.2f} below 2x"
         assert server.stats.cache_hit_rate > 0.5
         # Pure fusion (no cache reuse across distinct campaigns) must still
         # not lose to sequential dispatch.
-        t_seq, t_served, _ = fleets["distinct"]
-        assert t_seq / t_served >= 0.9
+        speedup, _ = fleets["distinct"]
+        assert speedup >= 0.9, f"median round distinct speedup {speedup:.2f} below 0.9x"

@@ -74,7 +74,18 @@ def solve_stack(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     (the same LAPACK ``gesv`` per system, under the same floating-point
     error state, so a singular system raises ``LinAlgError`` and warns
     nothing) without the wrapper and the column-vector round trip.
+
+    A ``1 × 1`` system skips LAPACK: ``gesv`` returns exactly ``b / a``
+    there, so rank-1 stacks divide, and a zero pivot (either sign) raises
+    as ``gesv`` does.  Larger systems cannot be reproduced with NumPy
+    element-wise arithmetic; ``docs/backends.md`` has the measurements.
     """
+    if grams.shape[-1] == 1:
+        pivots = grams[..., 0]
+        if not pivots.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        with np.errstate(all="ignore"):
+            return rhs / pivots
     if _solve_vector is None:
         return np.linalg.solve(grams, rhs[..., None])[..., 0]
     with np.errstate(

@@ -30,7 +30,8 @@ kernel.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import functools
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +48,25 @@ from repro.inference.base import ColumnMeanFallbackMixin, InferenceAlgorithm, ob
 from repro.obs.profile import phase
 from repro.utils.seeding import RngLike, as_rng
 from repro.utils.validation import check_non_negative, check_positive_int
+
+
+@functools.lru_cache(maxsize=256)
+def _initial_factors(
+    init_seed: int, n_cells: int, n_cycles: int, rank: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``0.1·N(0, 1)`` cell and cycle factors an ALS solve starts from.
+
+    Drawn from a fresh generator on the frozen ``init_seed``, so they depend
+    only on the arguments; cached per argument tuple, read-only because
+    every caller shares them.  Module-level, not an instance attribute: the
+    configuration fingerprints and equivalence checks read ``vars()``.
+    """
+    init_rng = np.random.default_rng(init_seed)
+    cell_init = 0.1 * init_rng.standard_normal((n_cells, rank))
+    cycle_init = 0.1 * init_rng.standard_normal((n_cycles, rank))
+    cell_init.flags.writeable = False
+    cycle_init.flags.writeable = False
+    return cell_init, cycle_init
 
 
 @INFERENCE.register("als", seed_stream=5, backend_registry="repro.inference.backends")
@@ -142,12 +162,13 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
             return np.full_like(matrix, mean)
         normalised = np.where(mask, (matrix - mean) / scale, 0.0)
 
-        init_rng = np.random.default_rng(self._init_seed)
+        cell_init, cycle_init = _initial_factors(self._init_seed, n_cells, n_cycles, rank)
         problem = ALSProblem(
             normalised=normalised,
             mask=mask,
-            cell_init=0.1 * init_rng.standard_normal((n_cells, rank)),
-            cycle_init=0.1 * init_rng.standard_normal((n_cycles, rank)),
+            # Copies: the backend updates the factors in place.
+            cell_init=cell_init.copy(),
+            cycle_init=cycle_init.copy(),
             regularization=self.regularization,
             mu=self.temporal_weight,
             iterations=self.iterations,
@@ -252,19 +273,25 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
                 for k, i in enumerate(indices):
                     stack[k, :, : slot_widths[k]] = prepared[i]
             masks = observed_mask(stack)
-            counts = masks.sum(axis=(1, 2))
-            if (counts == 0).any():
+            if not masks.any(axis=(1, 2)).all():
                 raise ValueError("cannot infer from a matrix with no observed entries")
             completed = self._complete_batch(stack, masks, widths=slot_widths)
-            # Same post-conditions as InferenceAlgorithm.complete: observed
-            # entries pass through untouched and NaNs fall back to the mean.
+            # Same post-conditions as InferenceAlgorithm.complete, once per
+            # stack: observed entries pass through untouched and NaNs fall
+            # back to the slot's observed mean.
             completed = np.where(masks, stack, completed)
-            for k, i in enumerate(indices):
-                out = completed[k]
-                if slot_widths is not None:
-                    out = out[:, : slot_widths[k]]
-                if np.isnan(out).any():
-                    out = np.where(np.isnan(out), float(np.nanmean(stack[k])), out)
+            if slot_widths is None:
+                outs = list(completed)
+            else:
+                outs = [completed[k, :, :width] for k, width in enumerate(slot_widths)]
+            if np.isnan(completed).any():
+                outs = [
+                    np.where(np.isnan(out), float(np.nanmean(stack[k])), out)
+                    if np.isnan(out).any()
+                    else out
+                    for k, out in enumerate(outs)
+                ]
+            for i, out in zip(indices, outs):
                 results[i] = out
         return results  # type: ignore[return-value]
 
@@ -318,9 +345,7 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         normalised = centred / scales[:, None, None]
 
         # Identical initialisation to the sequential path, broadcast over K.
-        init_rng = np.random.default_rng(self._init_seed)
-        cell_init = 0.1 * init_rng.standard_normal((n_cells, rank))
-        cycle_init = 0.1 * init_rng.standard_normal((n_cycles, rank))
+        cell_init, cycle_init = _initial_factors(self._init_seed, n_cells, n_cycles, rank)
         U = np.broadcast_to(cell_init, (n_batch, n_cells, rank)).copy()
         V = np.broadcast_to(cycle_init, (n_batch, n_cycles, rank)).copy()
 

@@ -35,7 +35,7 @@ loop.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,6 +103,15 @@ class QualityAssessor(abc.ABC):
             self.assess(observed, cycle, requirement, inference)
             for observed, cycle, requirement in zip(observed_matrices, cycles, requirements)
         ]
+
+
+class _LooPlan(NamedTuple):
+    """One slot's LOO work: its window, the held-out cells, the unsensed count."""
+
+    slot: int
+    window: np.ndarray
+    cells: np.ndarray
+    n_unsensed: int
 
 
 @ASSESSORS.register("loo_bayesian")
@@ -227,9 +236,10 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         if rngs is not None and len(rngs) != n_slots:
             raise ValueError(f"{n_slots} slots but {len(rngs)} rngs")
         probabilities: List[Optional[float]] = [None] * n_slots
-        plans: List[Tuple[int, np.ndarray, np.ndarray, int, int]] = []
-        held_out_pool: List[np.ndarray] = []
+        plans: List[_LooPlan] = []
 
+        # Per slot and in slot order: each slot's subsample draw consumes
+        # its own stream exactly once, whoever shares the call.
         for slot, (observed, cycle) in enumerate(zip(observed_matrices, cycles)):
             observed = np.asarray(observed, dtype=float)
             if not 0 <= cycle < observed.shape[1]:
@@ -254,57 +264,61 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
                 chosen = slot_rng.choice(sensed, size=self.max_loo_cells, replace=False)
             else:
                 chosen = sensed
-            pool_start = len(held_out_pool)
             if sensed.size < 2:
                 # Removing the only sensed cell would leave nothing to infer
                 # from; every LOO window is degenerate, so no sample exists.
-                cells = np.empty(0, dtype=int)
-                true_values = np.empty(0, dtype=float)
-            else:
-                # Build all K held-out windows in one stacked write: K copies
-                # of the window, then one fancy-indexed NaN assignment on the
-                # (k, chosen[k], current) diagonal — no Python-level per-cell
-                # copy loop.
-                cells = np.asarray(chosen, dtype=int)
-                true_values = window[cells, current].astype(float)
-                stacked = np.repeat(window[np.newaxis, :, :], cells.size, axis=0)
-                stacked[np.arange(cells.size), cells, current] = np.nan
-                held_out_pool.extend(stacked)
+                probabilities[slot] = 0.0
+                continue
             plans.append(
-                (
-                    slot,
-                    cells,
-                    true_values,
-                    pool_start,
-                    n_cells - sensed.size,
-                )
+                _LooPlan(slot, window, np.asarray(chosen, dtype=int), n_cells - sensed.size)
             )
+        if not plans:
+            return probabilities  # type: ignore[return-value]
+
+        held_out, true_values = self._held_out_windows(plans)
+        # Every slot's held-out windows, in slot order: a replica slot lists
+        # its source's arrays again, so the completion cache still sees (and
+        # counts) every window of every slot.
+        held_out_pool = [matrix for windows in held_out for matrix in windows]
 
         with phase("loo.complete_pool"):
             completed_pool = self._complete_pool(held_out_pool, inference)
 
-        for slot, cells, true_values, pool_start, n_unsensed in plans:
-            if true_values.size == 0:
-                probabilities[slot] = 0.0
-                continue
-            current = held_out_pool[pool_start].shape[1] - 1
-            predicted_values = np.asarray(
-                [
-                    float(completed_pool[pool_start + k][cell, current])
-                    for k, cell in enumerate(cells)
-                ],
-                dtype=float,
-            )
-            requirement = requirements[slot]
+        # Read back each held-out entry in one pass over the pool.
+        sizes = np.array([plan.cells.size for plan in plans])
+        starts = np.cumsum(sizes) - sizes
+        pool_cells = np.concatenate([plan.cells for plan in plans]).tolist()
+        pool_columns = np.repeat([plan.window.shape[1] - 1 for plan in plans], sizes).tolist()
+        predicted = np.array(
+            [
+                matrix[cell, column]
+                for matrix, cell, column in zip(completed_pool, pool_cells, pool_columns)
+            ],
+            dtype=float,
+        )
+        actual = np.concatenate(true_values)
+
+        # Continuous slots: one row-wise posterior per LOO sample size n.
+        continuous: Dict[int, List[int]] = {}
+        for position, plan in enumerate(plans):
+            requirement = requirements[plan.slot]
             if requirement.is_classification:
-                probabilities[slot] = self._classification_posterior(
-                    true_values, predicted_values, requirement, n_unsensed
+                span = slice(starts[position], starts[position] + plan.cells.size)
+                probabilities[plan.slot] = self._classification_posterior(
+                    actual[span], predicted[span], requirement, plan.n_unsensed
                 )
             else:
-                loo_errors = np.abs(predicted_values - true_values)
-                probabilities[slot] = self._continuous_posterior(
-                    loo_errors, requirement, n_unsensed
-                )
+                continuous.setdefault(plan.cells.size, []).append(position)
+        loo_errors = np.abs(predicted - actual)
+        for n, positions in continuous.items():
+            members = [plans[position] for position in positions]
+            posteriors = self._continuous_posteriors(
+                loo_errors[starts[positions][:, None] + np.arange(n)],
+                np.array([requirements[plan.slot].epsilon for plan in members]),
+                np.array([plan.n_unsensed for plan in members]),
+            )
+            for plan, posterior in zip(members, posteriors.tolist()):
+                probabilities[plan.slot] = posterior
         return probabilities  # type: ignore[return-value]
 
     # -- round-tripping ----------------------------------------------------
@@ -326,6 +340,46 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         start = max(0, cycle + 1 - self.history_window)
         return observed_matrix[:, start : cycle + 1]
 
+    @staticmethod
+    def _held_out_windows(
+        plans: Sequence[_LooPlan],
+    ) -> Tuple[List[List[np.ndarray]], List[np.ndarray]]:
+        """Each plan's K held-out windows (as views) and their true values.
+
+        The windows of all same-shape plans come from one stack: each
+        distinct window repeated K times, then one fancy-indexed NaN write
+        on the (k, cell_k, current) diagonal.  A replica plan, whose window
+        and held-out cells are byte-identical to an earlier plan's (as in
+        replicated campaigns), gets that plan's arrays.
+        """
+        sources: Dict[Tuple[Tuple[int, ...], bytes, bytes], int] = {}
+        source_of = [
+            sources.setdefault(
+                (plan.window.shape, plan.window.tobytes(), plan.cells.tobytes()), index
+            )
+            for index, plan in enumerate(plans)
+        ]
+        by_shape: Dict[Tuple[int, ...], List[int]] = {}
+        for index in sources.values():
+            by_shape.setdefault(plans[index].window.shape, []).append(index)
+        windows: Dict[int, List[np.ndarray]] = {}
+        values: Dict[int, np.ndarray] = {}
+        for (_, width), members in by_shape.items():
+            sizes = [plans[index].cells.size for index in members]
+            rows = np.arange(sum(sizes))
+            cells = np.concatenate([plans[index].cells for index in members])
+            stack = np.repeat(
+                np.stack([plans[index].window for index in members]), sizes, axis=0
+            )
+            truth = stack[rows, cells, width - 1]
+            stack[rows, cells, width - 1] = np.nan
+            offset = 0
+            for index, size in zip(members, sizes):
+                windows[index] = list(stack[offset : offset + size])
+                values[index] = truth[offset : offset + size]
+                offset += size
+        return [windows[index] for index in source_of], [values[index] for index in source_of]
+
     def _complete_pool(
         self, held_out_pool: List[np.ndarray], inference: InferenceAlgorithm
     ) -> List[np.ndarray]:
@@ -345,29 +399,50 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
     def _continuous_posterior(
         loo_errors: np.ndarray, requirement: QualityRequirement, n_unsensed: int
     ) -> float:
-        """Normal-approximation posterior over the mean error of the unsensed cells.
+        """The posterior of one slot: the one-row case of :meth:`_continuous_posteriors`."""
+        return float(
+            LeaveOneOutBayesianAssessor._continuous_posteriors(
+                loo_errors[np.newaxis, :],
+                np.array([requirement.epsilon]),
+                np.array([n_unsensed]),
+            )[0]
+        )
 
-        The LOO errors are treated as i.i.d. samples of the per-cell absolute
+    @staticmethod
+    def _continuous_posteriors(
+        loo_errors: np.ndarray, epsilons: np.ndarray, n_unsensed: np.ndarray
+    ) -> np.ndarray:
+        """Normal-approximation posteriors over the mean error of the unsensed cells.
+
+        One row per slot: ``loo_errors`` is ``(slots, n)`` for one LOO
+        sample size ``n``, with each slot's ε and unsensed-cell count.  The
+        LOO errors are treated as i.i.d. samples of the per-cell absolute
         error; the cycle error (MAE over unsensed cells) is the mean of
         ``n_unsensed`` such draws, so its posterior predictive mean/standard
         error follow from the sample statistics.  With only a handful of LOO
         samples the Student-t quantile widens the uncertainty appropriately.
+        Each row's bytes are those of the statistics taken over that row
+        alone.
         """
-        n = loo_errors.size
-        mean = float(loo_errors.mean())
+        n = loo_errors.shape[1]
+        means = loo_errors.mean(axis=1)
+        # A single sample carries no variance information, and a vanishing
+        # standard error none either: be conservative.
+        posteriors = np.where(means <= epsilons, 1.0, 0.0)
         if n == 1:
-            # A single sample carries no variance information; be conservative.
-            return 1.0 if mean <= requirement.epsilon else 0.0
-        std = float(loo_errors.std(ddof=1))
-        standard_error = std / np.sqrt(n_unsensed) + std / np.sqrt(n)
-        if standard_error <= 1e-12:
-            return 1.0 if mean <= requirement.epsilon else 0.0
-        t_stat = (requirement.epsilon - mean) / standard_error
+            return posteriors
+        stds = loo_errors.std(axis=1, ddof=1)
+        standard_errors = stds / np.sqrt(n_unsensed) + stds / np.sqrt(n)
+        spread = ~(standard_errors <= 1e-12)
+        if not spread.any():
+            return posteriors
+        t_stats = (epsilons[spread] - means[spread]) / standard_errors[spread]
         # Imported here so only processes that assess load SciPy (training
         # uses the oracle).  ``stats.t.cdf`` calls the same ``stdtr`` ufunc.
         from scipy import special
 
-        return float(special.stdtr(n - 1, t_stat))
+        posteriors[spread] = special.stdtr(n - 1, t_stats)
+        return posteriors
 
     @staticmethod
     def _classification_posterior(

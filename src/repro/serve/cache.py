@@ -32,6 +32,7 @@ looser equivalence notion.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,17 +47,25 @@ from repro.utils.validation import check_positive_int
 CacheKey = Tuple[str, str]
 
 
+@functools.lru_cache(maxsize=256)
+def _shape_digest(shape: Tuple[int, ...]) -> "hashlib._Hash":
+    """A digest already fed the shape's ``repr``; callers update a copy."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr(shape).encode("ascii"))
+    return digest
+
+
 def matrix_fingerprint(matrix: np.ndarray) -> str:
     """Content fingerprint of a (possibly partial) float matrix.
 
     The digest covers the shape and the raw float64 bytes, so two matrices
     collide only when they are bitwise identical — same NaN pattern *and*
-    same observed values.
+    same observed values.  The bytes are hashed from the C-ordered array's
+    buffer, without a copy when it already is one.
     """
-    matrix = np.ascontiguousarray(np.asarray(matrix, dtype=float))
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr(matrix.shape).encode("ascii"))
-    digest.update(matrix.tobytes())
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    digest = _shape_digest(matrix.shape).copy()
+    digest.update(matrix)
     return digest.hexdigest()
 
 
@@ -238,8 +247,13 @@ class CachingInference(InferenceAlgorithm):
         miss_indices: List[int] = []
         first_seen: Dict[CacheKey, int] = {}
         duplicates: List[Tuple[int, int]] = []  # (index, position of first miss)
+        # A batch that lists the same array K times hashes it once.  The
+        # memo holds each array, so no ``id`` in it is reused during the call.
+        keyed: Dict[int, Tuple[np.ndarray, CacheKey]] = {}
         for index, matrix in enumerate(matrices):
-            key = self._key(matrix)
+            if id(matrix) not in keyed:
+                keyed[id(matrix)] = (matrix, self._key(matrix))
+            key = keyed[id(matrix)][1]
             if key in first_seen:
                 # Same matrix earlier in this very batch: solve once, fan out.
                 duplicates.append((index, first_seen[key]))

@@ -72,7 +72,7 @@ from repro.serve.batcher import (
 )
 from repro.serve.cache import CachingInference, CompletionCache
 from repro.serve.stats import ServerStats
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_matrix, check_positive_int
 
 _payload = attrgetter("payload")
 
@@ -270,7 +270,17 @@ class DecisionServer:
         *,
         tenant: str = DEFAULT_TENANT,
     ) -> PendingResult:
-        """Queue a quality assessment; resolves to a bool verdict."""
+        """Queue a quality assessment; resolves to a bool verdict.
+
+        Raises ``ValueError`` here, before queueing, when ``observed`` is not
+        a 2-D matrix or ``cycle`` is not one of its columns: a request that
+        cannot be answered must not fail the requests pooled with it.
+        """
+        shape = np.shape(observed)
+        if len(shape) != 2:
+            raise ValueError(f"observed must be a 2-D matrix, got shape {shape}")
+        if not 0 <= cycle < shape[1]:
+            raise ValueError(f"cycle {cycle} out of range for {shape[1]} cycles")
         payload = AssessQuery(
             assessor=assessor,
             inference=inference,
@@ -287,7 +297,14 @@ class DecisionServer:
         *,
         tenant: str = DEFAULT_TENANT,
     ) -> PendingResult:
-        """Queue a matrix completion; resolves to the completed matrix."""
+        """Queue a matrix completion; resolves to the completed matrix.
+
+        Raises ``ValueError`` here, before queueing, when ``matrix`` is not
+        2-D, contains ±inf or has no observed (non-NaN) entry: a request that
+        cannot be answered must not fail the requests pooled with it.
+        """
+        if np.isnan(check_matrix(matrix, "matrix")).all():
+            raise ValueError("cannot infer from a matrix with no observed entries")
         return self._submit(
             "complete", CompleteQuery(inference=inference, matrix=matrix), tenant=tenant
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.inference import compressive
 from repro.inference.compressive import CompressiveSensingInference
 from repro.inference.interpolation import SpatialMeanInference
 from repro.inference.metrics import mean_absolute_error
@@ -250,3 +251,115 @@ class TestWidthBuckets:
         for matrix, out in zip(matrices, inference.complete_batch(matrices)):
             reference = inference.complete_batch([matrix])[0]
             assert np.allclose(out, reference, atol=1e-9, rtol=0)
+
+
+def fresh_initial_factors(init_seed, n_cells, n_cycles, rank):
+    """The initial factors as drawn before they were cached: anew per solve."""
+    init_rng = np.random.default_rng(init_seed)
+    return (
+        0.1 * init_rng.standard_normal((n_cells, rank)),
+        0.1 * init_rng.standard_normal((n_cycles, rank)),
+    )
+
+
+def reference_complete_batch(als, matrices):
+    """``complete_batch`` with its post-conditions applied slot by slot, as
+    before they ran once per stack; kept verbatim."""
+    prepared = [np.asarray(matrix, dtype=float) for matrix in matrices]
+    results = [None] * len(prepared)
+    groups = {}
+    for index, matrix in enumerate(prepared):
+        groups.setdefault(matrix.shape, []).append(index)
+    buckets = {}
+    for shape, indices in groups.items():
+        n_cells, width = shape
+        bucketable = width >= min(als.rank, n_cells)
+        key = ("rows", n_cells) if bucketable else ("shape", shape)
+        buckets.setdefault(key, []).append((shape, indices))
+    for shape_groups in buckets.values():
+        distinct_widths = {shape[1] for shape, _ in shape_groups}
+        indices = [i for _, group in shape_groups for i in group]
+        if len(distinct_widths) == 1:
+            stack = np.stack([prepared[i] for i in indices])
+            slot_widths = None
+        else:
+            n_cells = shape_groups[0][0][0]
+            slot_widths = np.array([prepared[i].shape[1] for i in indices])
+            stack = np.full((len(indices), n_cells, int(slot_widths.max())), np.nan)
+            for k, i in enumerate(indices):
+                stack[k, :, : slot_widths[k]] = prepared[i]
+        masks = ~np.isnan(stack)
+        completed = als._complete_batch(stack, masks, widths=slot_widths)
+        completed = np.where(masks, stack, completed)
+        for k, i in enumerate(indices):
+            out = completed[k]
+            if slot_widths is not None:
+                out = out[:, : slot_widths[k]]
+            if np.isnan(out).any():
+                out = np.where(np.isnan(out), float(np.nanmean(stack[k])), out)
+            results[i] = out
+    return results
+
+
+class NaNLeakingALS(CompressiveSensingInference):
+    """Leaves NaN in some unobserved entries, padding included, so the
+    observed-mean fallback of ``complete_batch`` runs."""
+
+    def _complete_batch(self, data, mask, widths=None):
+        completed = super()._complete_batch(data, mask, widths=widths)
+        completed[::2, 1, :] = np.nan
+        return completed
+
+
+class TestCompleteBatchParity:
+    """``complete_batch`` checks and fixes its output once per stack and
+    draws the initial factors from a cache; both return the bytes of the
+    per-slot post-conditions on freshly drawn factors."""
+
+    @staticmethod
+    def window(rng, n_cells, width, constant=False):
+        matrix = rng.normal(size=(n_cells, 1)) + 0.3 * rng.normal(size=(n_cells, width))
+        if constant:
+            matrix[:] = 4.25
+        matrix[rng.random(size=matrix.shape) < 0.45] = np.nan
+        matrix[0, 0] = 1.5 if not constant else 4.25
+        return matrix
+
+    CASES = {
+        "uniform": [(12, 8)] * 6,
+        "padded": [(12, 8), (12, 5), (12, 8), (12, 6), (12, 2), (7, 4), (7, 9)],
+        "degenerate_uniform": [(12, 8), (12, 8, "constant"), (12, 8)],
+        "degenerate_padded": [(12, 8), (12, 5, "constant"), (12, 6)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("als_type", [CompressiveSensingInference, NaNLeakingALS])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_matches_per_slot_post_conditions(self, monkeypatch, case, als_type, rank):
+        rng = np.random.default_rng(sorted(self.CASES).index(case))
+        matrices = [
+            self.window(rng, spec[0], spec[1], constant=len(spec) > 2)
+            for spec in self.CASES[case]
+        ]
+        als = als_type(rank=rank, iterations=4, temporal_weight=0.1, seed=2)
+        got = als.complete_batch(matrices)
+        monkeypatch.setattr(compressive, "_initial_factors", fresh_initial_factors)
+        expected = reference_complete_batch(als, matrices)
+        for matrix, out, reference in zip(matrices, got, expected):
+            assert out.shape == matrix.shape
+            assert out.tobytes() == reference.tobytes()
+            assert not np.isnan(out).any()
+
+    def test_initial_factors_are_cached_read_only_and_off_the_instance(self):
+        als = CompressiveSensingInference(rank=3, seed=5)
+        attributes = dict(vars(als))
+        als.complete_batch([self.window(np.random.default_rng(0), 10, 6)])
+        cell_init, cycle_init = compressive._initial_factors(als._init_seed, 10, 6, 3)
+        assert compressive._initial_factors(als._init_seed, 10, 6, 3)[0] is cell_init
+        assert not cell_init.flags.writeable and not cycle_init.flags.writeable
+        with pytest.raises(ValueError):
+            cell_init[0, 0] = 1.0
+        fresh = fresh_initial_factors(als._init_seed, 10, 6, 3)
+        assert cell_init.tobytes() == fresh[0].tobytes()
+        assert cycle_init.tobytes() == fresh[1].tobytes()
+        assert vars(als).keys() == attributes.keys()

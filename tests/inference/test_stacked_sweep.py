@@ -270,38 +270,78 @@ def test_slot_bytes_do_not_depend_on_the_stack(rank):
     assert alone.tobytes() == shared.tobytes()
 
 
-def singular_problem():
+def singular_problem(rank=2):
     """Regularization 0 and a row whose only observation meets the cycle
-    factor ``(1, 0)``: that row's cell gram is exactly singular."""
+    factor ``(1, 0)`` (rank 2) or ``0`` (rank 1): that row's cell gram is
+    exactly singular."""
     mask = np.ones((1, 3, 4), dtype=bool)
     mask[0, 0, 1:] = False
     rng = np.random.default_rng(60)
-    cycle_init = rng.standard_normal((1, 4, 2))
-    cycle_init[0, 0] = (1.0, 0.0)
+    cycle_init = rng.standard_normal((1, 4, rank))
+    cycle_init[0, 0] = (1.0, 0.0) if rank == 2 else 0.0
     return StackedALSProblem(
         normalised=np.where(mask, rng.standard_normal(mask.shape), 0.0),
         maskf=mask.astype(float),
-        cell_init=rng.standard_normal((1, 3, 2)),
+        cell_init=rng.standard_normal((1, 3, rank)),
         cycle_init=cycle_init,
         regularization=0.0,
         mu=0.0,
         iterations=2,
         row_has_obs=mask.any(axis=2)[..., None],
         col_update=mask.any(axis=1)[..., None],
-        smooth=np.zeros((4, 2, 2)),
+        smooth=np.zeros((4, rank, rank)),
     )
 
 
-@pytest.mark.parametrize("raw_lapack", [True, False], ids=["raw", "fallback"])
-def test_singular_stack_raises_without_warning(monkeypatch, raw_lapack):
+@pytest.mark.parametrize(
+    "raw_lapack, rank",
+    [(True, 2), (False, 2), (True, 1), (False, 1)],
+    ids=["raw", "fallback", "raw-rank1", "fallback-rank1"],
+)
+def test_singular_stack_raises_without_warning(monkeypatch, raw_lapack, rank):
     if not raw_lapack:
         monkeypatch.setattr(base, "_solve_vector", None)
     with pytest.raises(np.linalg.LinAlgError):
-        reference_solve_stacked(singular_problem())
+        reference_solve_stacked(singular_problem(rank))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            solve_stacked(get_backend("numpy"), singular_problem())
+            solve_stacked(get_backend("numpy"), singular_problem(rank))
+
+
+def test_rank_one_division_is_lapack_bytes():
+    """A 1 x 1 system is solved by division; gesv returns exactly ``b / a``,
+    over ordinary, tiny, huge and mixed-sign magnitudes, with overflow and
+    underflow as silent as in LAPACK."""
+    from numpy.linalg import _umath_linalg
+
+    rng = np.random.default_rng(80)
+    shape = (40, 500)
+    magnitudes = np.exp(rng.uniform(-700.0, 700.0, shape))
+    for pivots, rhs in (
+        (rng.standard_normal(shape), rng.standard_normal(shape)),
+        (rng.uniform(0.1, 50.0, shape), 10.0 * rng.standard_normal(shape)),
+        (magnitudes * rng.choice([-1.0, 1.0], shape), np.exp(rng.uniform(-700.0, 700.0, shape))),
+    ):
+        grams, rhs = pivots[..., None, None], rhs[..., None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = base.solve_stack(grams, rhs)
+        with np.errstate(all="ignore"):
+            expected = _umath_linalg.solve1(grams, rhs)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("pivot", [0.0, -0.0])
+def test_rank_one_zero_pivot_raises_without_warning(pivot):
+    grams = np.array([2.0, pivot, 3.0])[:, None, None, None]
+    rhs = np.ones((3, 1, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(grams, rhs[..., None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            base.solve_stack(grams, rhs)
 
 
 def test_fallback_solve_is_byte_identical(captured, monkeypatch):

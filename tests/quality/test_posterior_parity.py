@@ -4,7 +4,9 @@
 ``scipy.special.stdtr``, the function ``scipy.stats.t.cdf`` calls
 internally, so the package does not load ``scipy.stats`` at import time.
 These tests pin that the two agree to the last bit over the degrees of
-freedom the assessor can produce (``max_loo_cells`` up to 12 gives df 1-11).
+freedom the assessor can produce (``max_loo_cells`` up to 12 gives df 1-11),
+and that the row-wise posterior of a pooled call gives every slot the bytes
+of its one-row posterior.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from repro.inference.base import InferenceAlgorithm
 from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
 
@@ -55,3 +58,117 @@ def test_continuous_posterior_matches_t_cdf():
             loo_errors, requirement, n_unsensed
         )
         assert got == t_cdf_posterior(loo_errors, requirement, n_unsensed)
+
+
+def one_row_posterior(loo_errors, epsilon, n_unsensed):
+    """The scalar posterior the row-wise one replaced, rule for rule."""
+    n = loo_errors.size
+    mean = float(loo_errors.mean())
+    if n == 1:
+        return 1.0 if mean <= epsilon else 0.0
+    std = float(loo_errors.std(ddof=1))
+    standard_error = std / np.sqrt(n_unsensed) + std / np.sqrt(n)
+    if standard_error <= 1e-12:
+        return 1.0 if mean <= epsilon else 0.0
+    return float(special.stdtr(n - 1, (epsilon - mean) / standard_error))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_wise_posteriors_match_one_row(n):
+    """Each row of one ``(slots, n)`` call has the bytes of that row alone:
+    mixed ε and unsensed counts, constant rows (zero standard error),
+    standard errors either side of 1e-12 and both signs of t."""
+    rng = np.random.default_rng(100 + n)
+    rows = 60
+    loo_errors = np.abs(rng.standard_normal((rows, n))) * rng.uniform(0.01, 3.0, (rows, 1))
+    loo_errors[::7] = rng.uniform(0.0, 1.0, (len(loo_errors[::7]), 1))  # constant rows
+    # Standard errors straddling the 1e-12 cut-off.
+    loo_errors[3::7] = 0.4 + rng.standard_normal((len(loo_errors[3::7]), n)) * 10.0 ** (
+        rng.uniform(-14.0, -10.0, (len(loo_errors[3::7]), 1))
+    )
+    epsilons = rng.choice([0.05, 0.3, 0.5, 1.0, 2.5], rows)
+    n_unsensed = rng.integers(1, 50, rows)
+    got = LeaveOneOutBayesianAssessor._continuous_posteriors(loo_errors, epsilons, n_unsensed)
+    expected = [
+        one_row_posterior(row.copy(), float(epsilon), int(unsensed))
+        for row, epsilon, unsensed in zip(loo_errors, epsilons, n_unsensed)
+    ]
+    assert got.tobytes() == np.array(expected).tobytes()
+    if n > 1:
+        # t of both signs occurs.
+        assert ((0.0 < got) & (got < 0.5)).any() and ((0.5 < got) & (got < 1.0)).any()
+
+
+class RowMeanInference(InferenceAlgorithm):
+    """Fills each missing entry with its row's observed mean: deterministic
+    per matrix, so a pooled call and a reference loop see the same values."""
+
+    def _complete(self, matrix, mask):
+        counts = mask.sum(axis=1, keepdims=True)
+        means = np.where(mask, matrix, 0.0).sum(axis=1, keepdims=True) / np.maximum(counts, 1)
+        return np.broadcast_to(means, matrix.shape).copy()
+
+
+def reference_probability(observed, cycle, requirement, assessor, rng, inference):
+    """One slot's LOO posterior, assembled window by window."""
+    window = observed[:, max(0, cycle + 1 - assessor.history_window) : cycle + 1]
+    current = window.shape[1] - 1
+    sensed = np.flatnonzero(~np.isnan(window[:, current]))
+    if sensed.size < assessor.min_observations:
+        return 0.0
+    if sensed.size == window.shape[0]:
+        return 1.0
+    if sensed.size > assessor.max_loo_cells:
+        cells = rng.choice(sensed, size=assessor.max_loo_cells, replace=False)
+    else:
+        cells = sensed
+    errors = []
+    for cell in cells:
+        held_out = window.copy()
+        held_out[cell, current] = np.nan
+        predicted = float(inference.complete(held_out)[cell, current])
+        errors.append(abs(predicted - window[cell, current]))
+    return one_row_posterior(
+        np.asarray(errors), requirement.epsilon, window.shape[0] - sensed.size
+    )
+
+
+def test_pooled_call_with_mixed_n_and_epsilon_matches_one_row():
+    """One ``probabilities_error_below`` call whose slots differ in LOO
+    sample size, ε and window width — and include replicas — gives each
+    slot the bytes of its own one-row posterior."""
+    rng = np.random.default_rng(7)
+    inference = RowMeanInference()
+    field = rng.standard_normal((14, 1)) + 0.4 * rng.standard_normal((14, 30))
+    slots = []
+    for sensed_count in (2, 3, 5, 8, 9, 13, 14):
+        for cycle in (6, 29):
+            observed = np.where(rng.random(field.shape) < 0.6, field, np.nan)
+            observed[:, cycle] = np.nan
+            chosen = rng.choice(14, size=sensed_count, replace=False)
+            observed[chosen, cycle] = field[chosen, cycle]
+            slots.append((observed, cycle))
+    # The same windows again: replicas, and (subsampled from their own
+    # streams) same windows with other held-out cells.
+    slots += slots[:4] + slots[8:10]
+    requirements = [
+        QualityRequirement(epsilon=float(epsilon), p=0.9, metric="mae")
+        for epsilon in rng.choice([0.1, 0.4, 0.8, 2.0], len(slots))
+    ]
+    seeds = range(len(slots))
+    assessor = LeaveOneOutBayesianAssessor(min_observations=3, max_loo_cells=8, history_window=10)
+    pooled = assessor.probabilities_error_below(
+        [observed for observed, _ in slots],
+        [cycle for _, cycle in slots],
+        requirements,
+        inference,
+        rngs=[np.random.default_rng(seed) for seed in seeds],
+    )
+    expected = [
+        reference_probability(
+            observed, cycle, requirement, assessor, np.random.default_rng(seed), inference
+        )
+        for (observed, cycle), requirement, seed in zip(slots, requirements, seeds)
+    ]
+    assert np.array(pooled).tobytes() == np.array(expected).tobytes()
+    assert len(set(pooled)) > 4

@@ -61,6 +61,39 @@ class TestFingerprints:
         b = np.ones((3, 2))
         assert matrix_fingerprint(a) != matrix_fingerprint(b)
 
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("c_order", "798dd6c641664d07b30525dd3a77a93f"),
+            ("fortran_order", "798dd6c641664d07b30525dd3a77a93f"),
+            ("column_view", "df5f61eedc6e7bc300889291dd3beb2e"),
+            ("int", "840be2245daf8409cc08693b5774d000"),
+            ("bool", "6e4ace46e6905daae611f0fa8f35b7df"),
+            ("one_d", "7365ee4258f39872bf2d951665ee6fd8"),
+            ("scalar", "5f39416a679195c9a4b3f6cd0a4fe97d"),
+            ("empty", "1f1b36ed9c302524168d53b9c8d075c5"),
+            ("nested_list", "131da5f874c3078ce1f9c92ffa972c5c"),
+        ],
+    )
+    def test_digests_are_pinned(self, case, digest):
+        """Cache keys, checkpoint entries and journal fingerprints are these
+        hex digests: blake2b-128 over ``repr(shape)`` and the C-ordered
+        float64 bytes, whatever the input's layout or dtype."""
+        matrix = np.arange(12, dtype=float).reshape(3, 4)
+        matrix[1, 2] = np.nan
+        inputs = {
+            "c_order": matrix,
+            "fortran_order": np.asfortranarray(matrix),
+            "column_view": matrix[:, 1:3],
+            "int": np.arange(6).reshape(2, 3),
+            "bool": np.array([[True, False], [False, True]]),
+            "one_d": np.array([0.5, -0.0, np.inf]),
+            "scalar": np.float64(3.0),
+            "empty": np.empty((0, 3)),
+            "nested_list": [[1, 2], [3, 4]],
+        }
+        assert matrix_fingerprint(inputs[case]) == digest
+
     def test_inference_fingerprint_tracks_configuration(self):
         a = CompressiveSensingInference(rank=3, iterations=5, seed=0)
         b = CompressiveSensingInference(rank=4, iterations=5, seed=0)
@@ -160,6 +193,30 @@ class TestCachingInference:
         assert inner.solved == 1  # one solve fanned out to three requests
         assert cache.hits == 2
         assert all(np.array_equal(o, out[0]) for o in out)
+
+    @pytest.mark.parametrize(
+        "seeds, batch, solved",
+        [
+            # The same array object three times: fingerprinted once.
+            ([4], lambda matrices: matrices * 3, 1),
+            # A 3-D stack yields a fresh view per item, and a freed view's
+            # address can come back for a later one: distinct matrices must
+            # still get their own keys.
+            ([4, 4, 5, 6, 7, 8, 9, 10], np.stack, 7),
+        ],
+        ids=["same_object", "stack_views"],
+    )
+    def test_within_batch_deduplication_by_identity(self, seeds, batch, solved):
+        inner = CountingInference()
+        cache = CompletionCache(capacity=16)
+        wrapped = CachingInference(inner, cache)
+        matrices = batch([partial_matrix(seed=seed) for seed in seeds])
+        out = wrapped.complete_batch(matrices)
+        assert inner.solved == solved  # one solve per distinct matrix, fanned out
+        assert cache.hits == len(out) - solved
+        for matrix, result in zip(matrices, out):
+            assert np.array_equal(result, CountingInference().complete(matrix))
+        assert len({id(result) for result in out}) == len(out)  # each request owns its array
 
     def test_als_results_bitwise_match_uncached(self):
         als = CompressiveSensingInference(rank=2, iterations=4, seed=0)

@@ -205,6 +205,76 @@ class TestAssessAndCompleteEndpoints:
                 future.result()
 
 
+class TestPoisonedRequests:
+    """A request the endpoints cannot answer is refused at submission, so
+    the requests that would have pooled with it resolve to their own bytes."""
+
+    @pytest.mark.parametrize(
+        "poison, message",
+        [
+            (np.full((6, 5), np.nan), "no observed entries"),
+            (np.where(np.eye(6, 5) > 0, np.inf, np.nan), "infinite"),
+            (np.array([1.0, np.nan, 2.0]), "2-D"),
+        ],
+        ids=["all_nan", "inf", "one_d"],
+    )
+    def test_poisoned_completion_fails_alone(self, poison, message):
+        def serve(poisoned):
+            als = CompressiveSensingInference(rank=2, iterations=4, seed=0)
+            server = DecisionServer()
+            futures = [server.complete_matrix(als, partial_window(seed=1))]
+            if poisoned:
+                with pytest.raises(ValueError, match=message):
+                    server.complete_matrix(als, poison)
+            futures.append(server.complete_matrix(als, partial_window(seed=2)))
+            server.flush()
+            return [future.result().tobytes() for future in futures], server
+
+        clean, _ = serve(poisoned=False)
+        survived, server = serve(poisoned=True)
+        assert survived == clean
+        assert server.stats.endpoint("complete").requests == 2
+
+    @pytest.mark.parametrize("cycle", [5, -1, 99])
+    def test_out_of_range_cycle_fails_alone(self, cycle):
+        requirement = QualityRequirement(epsilon=0.6, p=0.8, metric="mae")
+
+        def serve(poisoned):
+            inference = CompressiveSensingInference(rank=2, iterations=4, seed=0)
+            assessors = [
+                LeaveOneOutBayesianAssessor(
+                    min_observations=2, max_loo_cells=3, history_window=5,
+                    rng=np.random.default_rng(seed),
+                )
+                for seed in (0, 1)
+            ]
+            server = DecisionServer()
+            futures = [
+                server.assess_quality(assessors[0], inference, partial_window(seed=3), 4, requirement)
+            ]
+            if poisoned:
+                with pytest.raises(ValueError, match="out of range"):
+                    server.assess_quality(
+                        assessors[1], inference, partial_window(seed=4), cycle, requirement
+                    )
+            futures.append(
+                server.assess_quality(assessors[1], inference, partial_window(seed=5), 4, requirement)
+            )
+            server.flush()
+            streams = [assessor.rng.bit_generator.state for assessor in assessors]
+            return [future.result() for future in futures], streams, server.cache.hits
+
+        assert serve(poisoned=True) == serve(poisoned=False)
+
+    def test_assess_rejects_a_matrix_that_is_not_2d(self):
+        requirement = QualityRequirement(epsilon=0.6, p=0.8, metric="mae")
+        assessor = LeaveOneOutBayesianAssessor(min_observations=2)
+        with pytest.raises(ValueError, match="2-D"):
+            DecisionServer().assess_quality(
+                assessor, CompressiveSensingInference(), np.ones(5), 0, requirement
+            )
+
+
 class TestFlushSemantics:
     def test_full_queue_flushes_on_submit(self):
         als = CompressiveSensingInference(rank=2, iterations=3, seed=0)
