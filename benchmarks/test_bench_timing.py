@@ -15,13 +15,14 @@ only when ``TIMING_BENCH_SCALES`` lists them (e.g.
 ``TIMING_BENCH_SCALES=medium,full``); otherwise the previously published
 rows are carried over from the checked-in ``timing.json``.
 
-``test_bench_als_backends`` times the ALS completion kernel itself, per
-registered execution backend (see :mod:`repro.inference.backends`), on
-synthetic low-rank matrices: one matrix per size class through
-``complete``, and stacks of K ∈ {1, 8, 34} 20×8 windows through
-``complete_batch``.  Every backend runs 5 paired rounds after a warm-up,
-and the test asserts the vectorized-grouped backend's headline claim on the
-median round: ≥2× the per-row baseline on medium-scale (city-sized)
+``test_bench_als_backends`` times the ALS completion kernel itself (see
+:mod:`repro.inference.als`) on synthetic low-rank matrices: one matrix per
+size class through ``solve`` and through the per-row-loop reference the
+tests hold it to (``tests/inference/als_reference.py``), and stacks of
+K ∈ {1, 8, 34} 20×8 windows through ``complete_batch``.  Every call runs 5
+paired rounds after a warm-up, and the test asserts that ``solve`` returns
+the reference's bytes and the bucketed cell half-step's headline claim on
+the median round: ≥2× the per-row reference on medium-scale (city-sized)
 matrices, which one round disturbed by a busy host cannot move.
 ``ALS_BENCH_SMOKE=1`` shrinks the matrices and keeps a single stack size
 for CI smoke runs (the speedup assertion is skipped there — tiny matrices
@@ -35,11 +36,12 @@ from repro.experiments.config import FULL_SCALE, MEDIUM_SCALE, SMALL_SCALE
 from repro.experiments.timing import (
     ALS_BENCH_SIZES,
     ALS_BENCH_STACKS,
-    run_als_backends,
+    run_als_bench,
     run_timing,
 )
 
 from benchmarks.conftest import RESULTS_DIR, write_result
+from tests.inference.als_reference import reference_solve
 
 # The seed repo's measurement on this benchmark (pre-vectorization), kept
 # for comparison.  Do not update this row when re-running the benchmark.
@@ -120,30 +122,22 @@ def test_bench_als_backends():
         {"small": (40, 12), "medium": (120, 16)} if smoke else dict(ALS_BENCH_SIZES)
     )
     stacks = (8,) if smoke else ALS_BENCH_STACKS
-    rows = run_als_backends(sizes, stacks=stacks, iterations=10, seed=0)
-    write_result("als_backends", rows)
+    rows = run_als_bench(
+        sizes, reference=reference_solve, stacks=stacks, iterations=10, seed=0
+    )
+    write_result("als_kernel", rows)
 
-    by_key = {
-        (row["backend"], row["size"]): row for row in rows if row["kernel"] == "complete"
-    }
-    # Every registered backend produced a row per size, anchored by numpy.
-    assert ("numpy", "medium") in by_key
-    assert ("numpy_grouped", "medium") in by_key
-    # ... and a complete_batch row per stack size.
-    stacked = {
-        (row["backend"], row["stack"]): row
-        for row in rows
-        if row["kernel"] == "complete_batch"
-    }
+    by_size = {row["size"]: row for row in rows if row["kernel"] == "solve"}
+    assert set(by_size) == set(sizes)
+    stacked = {row["stack"]: row for row in rows if row["kernel"] == "complete_batch"}
     for stack in stacks:
-        assert stacked[("numpy", stack)]["matrices_per_second"] > 0
-    # The grouped backend tracks the baseline numerically everywhere.
-    for row in rows:
-        if row["backend"] == "numpy_grouped":
-            assert row["max_abs_diff_vs_numpy"] <= 1e-10
+        assert stacked[stack]["matrices_per_second"] > 0
+    # The bucketed solve returns the per-row reference's bytes everywhere.
+    for row in by_size.values():
+        assert row["bytes_equal_reference"], row
     if not smoke:
-        # The headline perf claim: ≥2× the per-row baseline on city-scale
-        # matrices, in the median of the paired rounds (it measures ~4× here;
-        # 2 leaves slack for noisy CI boxes).
-        speedup = by_key[("numpy_grouped", "medium")]["speedup_vs_numpy"]
+        # The headline perf claim: ≥2× the per-row reference on city-scale
+        # matrices, in the median of the paired rounds (2 leaves slack for
+        # noisy CI boxes).
+        speedup = by_size["medium"]["speedup_vs_reference"]
         assert speedup >= 2.0, f"median round speedup {speedup:.2f} below 2.0x"

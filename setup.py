@@ -1,8 +1,9 @@
 """Legacy setup shim.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-only so that ``pip install -e .`` keeps working on environments without the
-``wheel`` package (legacy editable installs go through ``setup.py develop``).
+The project metadata lives in ``pyproject.toml``.  This file lets
+``python setup.py develop`` install the package in place on environments
+where ``pip install -e .`` cannot build an editable wheel (no ``wheel``
+package and no index to fetch it from).
 """
 
 from setuptools import setup

@@ -41,7 +41,6 @@ REGISTRY_VARS: Dict[str, str] = {
     "INFERENCE": "inference",
     "POLICIES": "policies",
     "ASSESSORS": "assessors",
-    "BACKENDS": "backends",
     "RULES": "rules",
 }
 
@@ -51,7 +50,6 @@ COMPONENT_FIELDS: Dict[str, str] = {
     "inference": "inference",
     "policy": "policies",
     "assessor": "assessors",
-    "backend": "backends",
 }
 
 _BACKTICK_RE = re.compile(r"`([^`\s]+)`")

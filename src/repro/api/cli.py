@@ -8,8 +8,9 @@ predefined experiment scales (tiny/small/medium/full) for quick runs —
 useful to smoke-test a production-sized scenario file in seconds.
 
 ``python -m repro.api.cli validate scenario.json`` parses the file, checks
-every registry key resolves, and verifies the JSON round trip is lossless
-without running anything.
+every registry key resolves and every component param is one its factory
+accepts, and verifies the JSON round trip is lossless without running
+anything.
 
 ``python -m repro.api.cli serve scenario.json`` trains the scenario and then
 runs every slot's campaign server-backed: one
@@ -45,8 +46,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.api.registry import ASSESSORS, DATASETS, INFERENCE, POLICIES
-from repro.inference.backends import BACKENDS, available_backends
-from repro.api.session import Session
+from repro.api.session import Session, unaccepted_parameters
 from repro.api.specs import ScenarioSpec
 from repro.experiments.config import ExperimentScale, get_scale
 from repro.experiments.reporting import format_rows
@@ -111,34 +111,6 @@ def constrain_to_scale(spec: ScenarioSpec, scale: ExperimentScale) -> ScenarioSp
         inference=clamp_inference(spec.inference),
         assessor=clamp_assessor(spec.assessor),
         slots=slots,
-    )
-
-
-def override_als_backend(spec: ScenarioSpec, backend: str) -> ScenarioSpec:
-    """Pin the ALS execution backend in every ``als`` component of the spec.
-
-    The backend key is validated against :data:`repro.inference.backends.
-    BACKENDS` up front (a typo fails fast with the available keys instead of
-    mid-training), then written into the scenario-level inference component
-    and every slot that pins its own ``als`` inference.  Note the
-    ``REPRO_ALS_BACKEND`` environment variable still outranks this flag —
-    precedence is env > spec > default, and this helper edits the spec.
-    """
-    BACKENDS.entry(backend)
-
-    def pin(component):
-        if component is None or component.name != "als":
-            return component
-        return dataclasses.replace(
-            component, params={**component.params, "backend": backend}
-        )
-
-    return spec.replace(
-        inference=pin(spec.inference),
-        slots=tuple(
-            dataclasses.replace(slot, inference=pin(slot.inference))
-            for slot in spec.slots
-        ),
     )
 
 
@@ -272,11 +244,6 @@ def add_serve_arguments(target: argparse.ArgumentParser) -> None:
         "(default: uncapped, or the scale's cap under --scale)",
     )
     target.add_argument(
-        "--als-backend",
-        default=None,
-        help="pin the ALS execution backend (see `components` for the keys)",
-    )
-    target.add_argument(
         "--learner-publish-every",
         type=int,
         default=None,
@@ -368,8 +335,6 @@ def run_command(args: argparse.Namespace) -> int:
     spec = load_spec(args.scenario)
     if args.scale is not None:
         spec = constrain_to_scale(spec, get_scale(args.scale))
-    if args.als_backend is not None:
-        spec = override_als_backend(spec, args.als_backend)
     if args.seed is not None:
         spec = spec.replace(seed=args.seed)
 
@@ -413,8 +378,6 @@ def _resolve_serve_spec(args: argparse.Namespace) -> tuple:
         replay_capacity=learner_knobs[1],
         minibatch=learner_knobs[2],
     )
-    if args.als_backend is not None:
-        spec = override_als_backend(spec, args.als_backend)
     if args.seed is not None:
         spec = spec.replace(seed=args.seed)
     return spec, replicas, max_batch, max_inflight
@@ -506,15 +469,25 @@ def validate_command(args: argparse.Namespace) -> int:
     if round_tripped != spec:
         print("JSON round trip is NOT lossless", file=sys.stderr)
         return 1
+    components = [(INFERENCE, spec.inference), (ASSESSORS, spec.assessor)]
     for slot in spec.slots:
-        DATASETS.entry(slot.dataset.name)
-        POLICIES.entry(slot.policy.name)
-        if slot.inference is not None:
-            INFERENCE.entry(slot.inference.name)
-        if slot.assessor is not None:
-            ASSESSORS.entry(slot.assessor.name)
-    INFERENCE.entry(spec.inference.name)
-    ASSESSORS.entry(spec.assessor.name)
+        components += [
+            (DATASETS, slot.dataset),
+            (POLICIES, slot.policy),
+            (INFERENCE, slot.inference),
+            (ASSESSORS, slot.assessor),
+        ]
+    for registry, component in components:
+        if component is None:
+            continue
+        unknown = unaccepted_parameters(registry, component.name, component.params)
+        if unknown:
+            print(
+                f"{registry.kind} {component.name!r} does not accept param(s) "
+                + ", ".join(unknown),
+                file=sys.stderr,
+            )
+            return 1
     print(f"{args.scenario}: ok ({len(spec.slots)} slot(s), seed {spec.seed})")
     return 0
 
@@ -527,8 +500,6 @@ def components_command(args: argparse.Namespace) -> int:
         ("assessors", ASSESSORS),
     ):
         print(f"{label}: {', '.join(registry.names())}")
-    backends = available_backends()
-    print(f"als backends: {', '.join(backends)}")
     return 0
 
 
@@ -547,11 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_parser.add_argument(
         "--save", type=Path, default=None, help="save the spec + trained agents here"
-    )
-    run_parser.add_argument(
-        "--als-backend",
-        default=None,
-        help="pin the ALS execution backend (see `components` for the keys)",
     )
     run_parser.set_defaults(func=run_command)
 

@@ -46,6 +46,7 @@ from repro.core.config import DRCellConfig
 from repro.core.drcell import DRCellAgent
 from repro.core.trainer import DRCellTrainer, TrainingReport
 from repro.datasets.base import SensingDataset
+from repro.inference.als import SolverStats
 from repro.inference.base import InferenceAlgorithm
 from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig
 from repro.mcs.policies import CellSelectionPolicy
@@ -186,14 +187,6 @@ class _Slot:
         return self.spec.name
 
 
-class _AggregatedSolverStats:
-    """Attribute view over summed ALS solver counters (duck-typed for obs)."""
-
-    def __init__(self, counters: Mapping[str, int]) -> None:
-        for attr in ("solves", "matrices", "sweeps_run", "sweeps_saved", "sharded_solves"):
-            setattr(self, attr, int(counters.get(attr, 0)))
-
-
 def _accepted_parameters(factory: Callable[..., Any]) -> set:
     """Keyword-addressable parameter names of ``factory`` (class or function)."""
     signature = inspect.signature(factory)
@@ -203,6 +196,26 @@ def _accepted_parameters(factory: Callable[..., Any]) -> set:
         if parameter.kind
         in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
     }
+
+
+#: Policy params the session consumes itself instead of passing to the factory.
+_SESSION_POLICY_PARAMS = frozenset({"train"})
+
+
+def unaccepted_parameters(registry: Registry, name: str, params: Mapping[str, Any]) -> List[str]:
+    """The keys of ``params`` that :meth:`Session._build` would fail on.
+
+    Checked against the factory's signature, as ``_build`` passes spec
+    params through as keyword arguments; a factory that takes ``**kwargs``
+    accepts every key.  Raises ``UnknownComponentError`` for an unknown
+    ``name``.
+    """
+    factory = registry.get(name)
+    parameters = inspect.signature(factory).parameters.values()
+    if any(parameter.kind is inspect.Parameter.VAR_KEYWORD for parameter in parameters):
+        return []
+    own = _SESSION_POLICY_PARAMS if registry is POLICIES else frozenset()
+    return sorted(set(params) - _accepted_parameters(factory) - own)
 
 
 class Session:
@@ -602,14 +615,13 @@ class Session:
         return ServeResult(report, server.stats, captured)
 
     def _observe_solvers(self, obs: "Observability") -> None:
-        """Mirror the slots' ALS solver counters into ``obs``, summed per backend.
+        """Mirror the slots' summed ALS solver counters into ``obs``.
 
         Slots may share inference instances (scenario-level components) or
-        pin their own; distinct instances carrying the same backend label
-        are aggregated so the mirrored ``repro_als_*`` totals count each
-        instance's work exactly once.
+        pin their own; each distinct instance's counters are added once, so
+        the mirrored ``repro_als_*`` totals count its work exactly once.
         """
-        totals: Dict[str, Dict[str, int]] = {}
+        totals: Dict[str, int] = {}
         seen: set = set()
         for slot in self.slots:
             inference = slot.inference
@@ -617,12 +629,10 @@ class Session:
             if stats is None or id(inference) in seen:
                 continue
             seen.add(id(inference))
-            backend = str(getattr(inference, "backend", "numpy"))
-            bucket = totals.setdefault(backend, {})
             for attr, value in stats.as_dict().items():
-                bucket[attr] = bucket.get(attr, 0) + int(value)
-        for backend, counters in sorted(totals.items()):
-            obs.observe_solver(_AggregatedSolverStats(counters), backend=backend)
+                totals[attr] = totals.get(attr, 0) + int(value)
+        if totals:
+            obs.observe_solver(SolverStats(**totals))
 
     def _serve_knobs(
         self, server: "DecisionServer", *, n_cycles: Optional[int], replicas: int
@@ -992,7 +1002,8 @@ class Session:
         if slot.policy_override is not None:
             return slot.policy_override
         params = dict(slot.spec.policy.params)
-        params.pop("train", None)  # session-level switch, not a factory parameter
+        for key in _SESSION_POLICY_PARAMS:  # session-level switches
+            params.pop(key, None)
         name = slot.spec.policy.name
         context: Dict[str, Any] = {
             "seed": self._derived_seed(POLICIES, name),

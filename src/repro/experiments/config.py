@@ -134,21 +134,10 @@ class ExperimentScale:
 
     # -- component builders -----------------------------------------------------
 
-    def inference(
-        self, *, seed: int = 0, backend: Optional[str] = None
-    ) -> CompressiveSensingInference:
-        """The compressive-sensing inference algorithm at this scale's fidelity.
-
-        ``backend`` picks the ALS execution backend (a
-        :data:`repro.inference.backends.BACKENDS` key); ``None`` keeps the
-        default resolution (``REPRO_ALS_BACKEND`` environment variable, then
-        the bit-exact ``numpy`` baseline).
-        """
+    def inference(self, *, seed: int = 0) -> CompressiveSensingInference:
+        """The compressive-sensing inference algorithm at this scale's fidelity."""
         return CompressiveSensingInference(
-            rank=3,
-            iterations=self.als_iterations,
-            seed=derive_rng(seed, 5),
-            backend=backend,
+            rank=3, iterations=self.als_iterations, seed=derive_rng(seed, 5)
         )
 
     def assessor(self) -> LeaveOneOutBayesianAssessor:

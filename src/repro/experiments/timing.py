@@ -7,13 +7,13 @@ quantity for this reproduction: the wall-clock time of the NumPy DRQN
 training loop at a given experiment scale, together with throughput numbers
 that make it easy to extrapolate to larger scales.
 
-:func:`run_als_backends` complements the end-to-end number with a
-microbenchmark of the ALS completion kernel itself, per registered execution
-backend (:mod:`repro.inference.backends`): one synthetic low-rank matrix per
-size class through ``complete``, and stacks of K small windows through
-``complete_batch``, reporting the median over paired rounds of the
-wall-clock time, the speedup over the ``numpy`` baseline and the maximum
-deviation from the baseline's result.
+:func:`run_als_bench` complements the end-to-end number with a
+microbenchmark of the ALS completion kernel itself
+(:mod:`repro.inference.als`): one synthetic low-rank matrix per size class
+through :func:`~repro.inference.als.solve` and through a reference solve,
+and stacks of K small windows through ``complete_batch``, reporting the
+median over paired rounds of the wall-clock time, the speedup over the
+reference and whether the bytes match it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from repro.core.trainer import DRCellTrainer
 from repro.experiments.config import ExperimentScale, SMALL_SCALE
-from repro.inference.backends import available_backends
+import repro.inference.als as als
+from repro.inference.als import ALSProblem
 from repro.inference.compressive import CompressiveSensingInference
 from repro.quality.epsilon_p import QualityRequirement
 from repro.utils.timing import monotonic
@@ -80,7 +81,6 @@ def run_timing(
     vector_envs: int = 1,
     fused: bool = False,
     episodes: Optional[int] = None,
-    als_backend: Optional[str] = None,
 ) -> TimingResult:
     """Measure DR-Cell training wall-clock time on the temperature task.
 
@@ -98,10 +98,6 @@ def run_timing(
         Training-episode override.  Defaults to the scale's episode budget,
         raised to ``vector_envs`` when vectorized so every environment has
         at least one episode of work.
-    als_backend:
-        ALS execution backend for the quality-check inference (a
-        :data:`repro.inference.backends.BACKENDS` key); ``None`` keeps the
-        default resolution.
     """
     scale = scale or SMALL_SCALE
     dataset = scale.sensorscope_dataset("temperature", seed=seed)
@@ -114,9 +110,7 @@ def run_timing(
         config = replace(
             config, vector_envs=vector_envs, fused_learning=fused, episodes=episodes
         )
-    trainer = DRCellTrainer(
-        config, inference=scale.inference(seed=seed, backend=als_backend)
-    )
+    trainer = DRCellTrainer(config, inference=scale.inference(seed=seed))
     _, report = trainer.train(train_set, requirement)
     return TimingResult(
         scale=scale.name,
@@ -130,11 +124,12 @@ def run_timing(
     )
 
 
-# -- ALS backend microbenchmark ------------------------------------------------
+# -- ALS kernel microbenchmark -------------------------------------------------
 
 #: Default size classes: (n_cells, n_cycles) of the synthetic low-rank
-#: matrices.  ``medium`` is the city-scale shape the grouped backend is
-#: expected to win on by ≥2×; ``full`` approaches the paper's largest grids.
+#: matrices.  ``medium`` is the city-scale shape the bucketed cell
+#: half-step is expected to win on by ≥2×; ``full`` approaches the paper's
+#: largest grids.
 ALS_BENCH_SIZES: Mapping[str, Tuple[int, int]] = {
     "small": (200, 48),
     "medium": (2000, 48),
@@ -151,8 +146,11 @@ ALS_BENCH_STACKS: Tuple[int, ...] = (1, 8, 34)
 ALS_STACK_WINDOW: Tuple[int, int] = (20, 8)
 ALS_STACK_ITERATIONS = 8
 
-#: Paired rounds every backend runs after its warm-up; rows report medians.
+#: Paired rounds every timed call runs after its warm-up; rows report medians.
 ALS_BENCH_ROUNDS = 5
+
+#: A single-matrix solve: ``ALSProblem -> (cell_factors, cycle_factors)``.
+Solve = Callable[[ALSProblem], Tuple[np.ndarray, np.ndarray]]
 
 
 def synthetic_low_rank(
@@ -181,128 +179,127 @@ def synthetic_low_rank(
     return np.where(mask, np.nan, data)
 
 
-def _time_backends(
-    solvers: Mapping[str, CompressiveSensingInference],
-    run: Callable[[CompressiveSensingInference], object],
-) -> Tuple[Dict[str, List[float]], Dict[str, float]]:
-    """Seconds of ``run`` on each solver per paired round, and its deviation.
+def _normalised_problem(
+    observed: np.ndarray, *, rank: int, iterations: int, seed: int = 0
+) -> ALSProblem:
+    """The normalised ALS problem of a partially observed matrix.
 
-    Each solver first runs once: the warm-up, whose result gives the maximum
-    absolute deviation from the ``numpy`` solver's.  Then every round runs
-    every solver once, back to back, so a busy host slows a round's calls
-    alike and the per-round ratios stay comparable.
+    Centred and scaled on the observed entries, with ``0.1·N(0, 1)`` factor
+    initialisations and the default ridge and smoothness weights, as
+    ``CompressiveSensingInference.complete`` builds it.
     """
-    results = {name: np.asarray(run(solver)) for name, solver in solvers.items()}
-    deviation = {
-        name: float(np.abs(result - results["numpy"]).max())
-        for name, result in results.items()
-    }
-    seconds: Dict[str, List[float]] = {name: [] for name in solvers}
+    mask = ~np.isnan(observed)
+    values = observed[mask]
+    normalised = np.where(mask, (observed - values.mean()) / values.std(), 0.0)
+    rng = np.random.default_rng(seed)
+    return ALSProblem(
+        normalised=normalised,
+        mask=mask,
+        cell_init=0.1 * rng.standard_normal((observed.shape[0], rank)),
+        cycle_init=0.1 * rng.standard_normal((observed.shape[1], rank)),
+        regularization=0.1,
+        mu=0.1,
+        iterations=iterations,
+    )
+
+
+def _paired_seconds(runs: Mapping[str, Callable[[], object]]) -> Dict[str, List[float]]:
+    """Seconds of every run per round, the runs back to back in each round,
+    so a busy host slows a round's calls alike and per-round ratios stay
+    comparable."""
+    seconds: Dict[str, List[float]] = {name: [] for name in runs}
     for _ in range(ALS_BENCH_ROUNDS):
-        for name, solver in solvers.items():
+        for name, run in runs.items():
             start = monotonic()
-            run(solver)
+            run()
             seconds[name].append(monotonic() - start)
-    return seconds, deviation
+    return seconds
 
 
-def run_als_backends(
+def run_als_bench(
     sizes: Optional[Mapping[str, Tuple[int, int]]] = None,
     *,
+    reference: Solve,
     stacks: Optional[Sequence[int]] = None,
-    backends: Optional[Sequence[str]] = None,
     iterations: int = 10,
     rank: int = 3,
     missing: float = 0.6,
     seed: int = 0,
 ) -> List[Dict[str, object]]:
-    """Time every ALS execution backend on synthetic low-rank matrices.
+    """Time the ALS kernel on synthetic low-rank matrices.
 
-    ``complete`` rows: for each size class one partially observed matrix is
-    generated, then completed per backend with identical hyper-parameters
-    and the same frozen initialisation seed, so the runs are directly
-    comparable.  ``complete_batch`` rows: for each stack size K in
-    ``stacks`` (default :data:`ALS_BENCH_STACKS`), K distinct
-    :data:`ALS_STACK_WINDOW` windows are completed in one call.
+    ``solve`` rows: for each size class one partially observed matrix is
+    normalised into an :class:`~repro.inference.als.ALSProblem` and solved
+    by :func:`repro.inference.als.solve` and by ``reference``, a solve with
+    the same signature (the test suite's per-row loop).  Each first solves
+    once (the warm-up, whose factor bytes are compared), then both run
+    :data:`ALS_BENCH_ROUNDS` paired rounds; rows report the median seconds
+    and the median of the per-round speedups over the reference.
 
-    Each backend first completes its input once (the warm-up, whose result
-    gives the maximum absolute deviation from the ``numpy`` baseline: 0.0
-    for bit-exact backends), then all backends run
-    :data:`ALS_BENCH_ROUNDS` paired rounds.  Rows report the median seconds
-    (``complete_batch`` rows as ms per call and matrices/s), and
-    ``complete`` rows the median of the per-round speedups over the
-    baseline.
-
-    ``backends`` defaults to every *registered* backend — optional backends
-    whose dependency is missing are silently absent, so the benchmark runs
-    everywhere.
+    ``complete_batch`` rows: for each stack size K in ``stacks`` (default
+    :data:`ALS_BENCH_STACKS`), K distinct :data:`ALS_STACK_WINDOW` windows
+    are completed in one call; rows report the median ms per call and
+    matrices/s.
     """
     sizes = dict(sizes if sizes is not None else ALS_BENCH_SIZES)
     stacks = tuple(stacks if stacks is not None else ALS_BENCH_STACKS)
-    names = list(backends) if backends is not None else list(available_backends())
-    if "numpy" in names:  # the baseline anchors the speedup column
-        names.remove("numpy")
-    names.insert(0, "numpy")
-
-    def solvers(sweeps: int) -> Dict[str, CompressiveSensingInference]:
-        return {
-            backend: CompressiveSensingInference(
-                rank=rank, iterations=sweeps, seed=seed, backend=backend
-            )
-            for backend in names
-        }
+    solvers: Dict[str, Solve] = {"solve": als.solve, "reference": reference}
 
     # The sub-millisecond stacked calls run first: after the multi-megabyte
     # size classes, the allocator's state makes their timings erratic.
     rows: List[Dict[str, object]] = []
     n_cells, n_cycles = ALS_STACK_WINDOW
+    solver = CompressiveSensingInference(rank=rank, iterations=ALS_STACK_ITERATIONS, seed=seed)
     for stack in stacks:
         windows = [
             synthetic_low_rank(n_cells, n_cycles, rank=rank, missing=missing, seed=seed + k)
             for k in range(stack)
         ]
-        seconds, deviation = _time_backends(
-            solvers(ALS_STACK_ITERATIONS),
-            lambda solver: solver.complete_batch(windows),
+        solver.complete_batch(windows)  # warm-up
+        seconds = _paired_seconds({"complete_batch": lambda: solver.complete_batch(windows)})
+        median = float(np.median(seconds["complete_batch"]))
+        rows.append(
+            {
+                "kernel": "complete_batch",
+                "stack": stack,
+                "n_cells": n_cells,
+                "n_cycles": n_cycles,
+                "iterations": ALS_STACK_ITERATIONS,
+                "rounds": ALS_BENCH_ROUNDS,
+                "ms_per_call": round(median * 1e3, 3),
+                "matrices_per_second": round(stack / median, 1),
+            }
         )
-        for backend in names:
-            median = float(np.median(seconds[backend]))
-            rows.append(
-                {
-                    "kernel": "complete_batch",
-                    "backend": backend,
-                    "stack": stack,
-                    "n_cells": n_cells,
-                    "n_cycles": n_cycles,
-                    "iterations": ALS_STACK_ITERATIONS,
-                    "rounds": ALS_BENCH_ROUNDS,
-                    "ms_per_call": round(median * 1e3, 3),
-                    "matrices_per_second": round(stack / median, 1),
-                    "max_abs_diff_vs_numpy": deviation[backend],
-                }
-            )
     for size_name, (n_cells, n_cycles) in sizes.items():
-        observed = synthetic_low_rank(
-            n_cells, n_cycles, rank=rank, missing=missing, seed=seed
-        )
-        seconds, deviation = _time_backends(
-            solvers(iterations), lambda solver: solver.complete(observed)
-        )
-        for backend in names:
-            rows.append(
-                {
-                    "kernel": "complete",
-                    "backend": backend,
-                    "size": size_name,
-                    "n_cells": n_cells,
-                    "n_cycles": n_cycles,
-                    "iterations": iterations,
-                    "rounds": ALS_BENCH_ROUNDS,
-                    "wall_clock_seconds": round(float(np.median(seconds[backend])), 4),
-                    "speedup_vs_numpy": round(
-                        float(np.median(np.divide(seconds["numpy"], seconds[backend]))), 2
-                    ),
-                    "max_abs_diff_vs_numpy": deviation[backend],
-                }
+        observed = synthetic_low_rank(n_cells, n_cycles, rank=rank, missing=missing, seed=seed)
+        problem = _normalised_problem(observed, rank=rank, iterations=iterations, seed=seed)
+
+        def fresh() -> ALSProblem:  # the solves update the factors in place
+            return replace(
+                problem, cell_init=problem.cell_init.copy(), cycle_init=problem.cycle_init.copy()
             )
+
+        factors = {name: solve(fresh()) for name, solve in solvers.items()}
+        seconds = _paired_seconds(
+            {name: (lambda solve=solve: solve(fresh())) for name, solve in solvers.items()}
+        )
+        rows.append(
+            {
+                "kernel": "solve",
+                "size": size_name,
+                "n_cells": n_cells,
+                "n_cycles": n_cycles,
+                "iterations": iterations,
+                "rounds": ALS_BENCH_ROUNDS,
+                "wall_clock_seconds": round(float(np.median(seconds["solve"])), 4),
+                "reference_seconds": round(float(np.median(seconds["reference"])), 4),
+                "speedup_vs_reference": round(
+                    float(np.median(np.divide(seconds["reference"], seconds["solve"]))), 2
+                ),
+                "bytes_equal_reference": all(
+                    got.tobytes() == want.tobytes()
+                    for got, want in zip(factors["solve"], factors["reference"])
+                ),
+            }
+        )
     return rows

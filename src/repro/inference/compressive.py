@@ -17,15 +17,9 @@ consecutive cycles' latent factors, which is what makes selections spread
 over time (paper Figure 1, case 2.2) more informative than repeatedly
 sensing the same cells.
 
-The sweep inner loops — the hot kernels of the whole system — execute
-behind the pluggable :mod:`repro.inference.backends` layer: this class owns
-normalisation, initialisation, width bucketing and post-conditions, while
-the registered backend (``numpy`` baseline, ``numpy_grouped``, optional
-``numba``/``torch``) runs the sweeps.  Selection precedence is the
-``REPRO_ALS_BACKEND`` environment variable, then the ``backend=``
-constructor argument (an ``InferenceSpec`` param in declarative scenarios),
-then the ``numpy`` default, which stays bit-exact with the pre-backend
-kernel.
+This class owns normalisation, initialisation, width bucketing and
+post-conditions; the sweep inner loops — the hot kernels of the whole
+system — live in :mod:`repro.inference.als`.
 """
 
 from __future__ import annotations
@@ -37,13 +31,8 @@ import numpy as np
 
 from repro.api.registry import INFERENCE
 
-from repro.inference.backends import (
-    ALSProblem,
-    SolverStats,
-    StackedALSProblem,
-    get_backend,
-    resolve_backend_name,
-)
+import repro.inference.als as als
+from repro.inference.als import ALSProblem, SolverStats, StackedALSProblem
 from repro.inference.base import ColumnMeanFallbackMixin, InferenceAlgorithm, observed_mask
 from repro.obs.profile import phase
 from repro.utils.seeding import RngLike, as_rng
@@ -69,7 +58,7 @@ def _initial_factors(
     return cell_init, cycle_init
 
 
-@INFERENCE.register("als", seed_stream=5, backend_registry="repro.inference.backends")
+@INFERENCE.register("als", seed_stream=5)
 class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
     """ALS low-rank matrix completion with optional temporal smoothness.
 
@@ -83,34 +72,15 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         μ, the weight of the smoothness penalty tying consecutive cycles'
         factors together.  Zero disables the term.
     iterations:
-        Number of ALS sweeps (the budget; see ``tolerance``).
+        Number of ALS sweeps; every solve runs all of them.
     seed:
         Seed or generator for factor initialisation.
-    backend:
-        Execution-backend key from :data:`repro.inference.backends.BACKENDS`
-        (``numpy``, ``numpy_grouped``, and — when their dependency is
-        installed — ``numba`` / ``torch``).  The ``REPRO_ALS_BACKEND``
-        environment variable overrides this; unset, the bit-exact ``numpy``
-        baseline is used.
-    tolerance:
-        Convergence early-exit: stop sweeping once the RMS change of the
-        (normalised-domain) factors falls below this value.  The default 0
-        disables the check entirely, preserving bit-exactness with the
-        fixed-budget protocol; saved sweeps are counted in
-        :attr:`solver_stats`.
-    shard_rows:
-        Block-sharded completion: bound the number of rows whose cell
-        half-step intermediates are materialised at once.  The cycle
-        factors are still solved from every block's contribution (a shared
-        cycle-factor solve), so sharding changes peak memory, not the
-        optimisation problem.  ``None`` (default) solves densely.
-    shard_overlap:
-        Boundary rows shared by consecutive row blocks (re-solved in both;
-        the cell half-step holds the cycle factors fixed, so the duplicate
-        solves are identical).  Must be smaller than ``shard_rows``.
     """
 
     name = "compressive_sensing"
+    #: The ``backend`` label of the ``repro_als_*`` metrics.  A class
+    #: attribute, not configuration: there is one kernel.
+    backend = "numpy"
 
     def __init__(
         self,
@@ -120,30 +90,11 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         iterations: int = 15,
         *,
         seed: RngLike = None,
-        backend: Optional[str] = None,
-        tolerance: float = 0.0,
-        shard_rows: Optional[int] = None,
-        shard_overlap: int = 0,
     ) -> None:
         self.rank = check_positive_int(rank, "rank")
         self.regularization = check_non_negative(regularization, "regularization")
         self.temporal_weight = check_non_negative(temporal_weight, "temporal_weight")
         self.iterations = check_positive_int(iterations, "iterations")
-        # Resolved once, here: the backend is part of this instance's frozen
-        # configuration (hence of completion-cache fingerprints and pooling
-        # equivalence) — numerically different backends must never share
-        # cached completions.
-        self.backend = resolve_backend_name(backend)
-        self.tolerance = check_non_negative(tolerance, "tolerance")
-        self.shard_rows = (
-            None if shard_rows is None else check_positive_int(shard_rows, "shard_rows")
-        )
-        self.shard_overlap = int(check_non_negative(shard_overlap, "shard_overlap"))
-        if self.shard_rows is not None and self.shard_overlap >= self.shard_rows:
-            raise ValueError(
-                f"shard_overlap ({self.shard_overlap}) must be smaller than "
-                f"shard_rows ({self.shard_rows})"
-            )
         # Telemetry only — excluded from fingerprints and equivalence checks.
         self.solver_stats = SolverStats()
         # Freeze the initialisation seed so that repeated `complete` calls on
@@ -166,26 +117,16 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         problem = ALSProblem(
             normalised=normalised,
             mask=mask,
-            # Copies: the backend updates the factors in place.
+            # Copies: the kernel updates the factors in place.
             cell_init=cell_init.copy(),
             cycle_init=cycle_init.copy(),
             regularization=self.regularization,
             mu=self.temporal_weight,
             iterations=self.iterations,
-            tolerance=self.tolerance,
-            shard_rows=self.shard_rows,
-            shard_overlap=self.shard_overlap,
         )
         with phase("als.solve"):
-            cell_factors, cycle_factors, sweeps_run = get_backend(self.backend).solve(
-                problem
-            )
-        self.solver_stats.record(
-            matrices=1,
-            sweeps_run=sweeps_run,
-            budget=self.iterations,
-            sharded=self.shard_rows is not None and n_cells > self.shard_rows,
-        )
+            cell_factors, cycle_factors = als.solve(problem)
+        self.solver_stats.record(matrices=1, sweeps_run=self.iterations)
         completed = cell_factors @ cycle_factors.T
         return completed * scale + mean
 
@@ -203,7 +144,7 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         reductions, never BLAS products, laid out so that no operand is
         contiguous along the contracted axis: only then does the einsum add
         the terms in index order, which keeps the sweep byte-identical as it
-        is optimised (see ``ALSBackend.solve_stacked``).
+        is optimised (see :func:`repro.inference.als.solve_stacked`).
 
         The batched solver optimises the same objective with the same
         initialisation and iteration budget, but updates the cycle factors
@@ -312,10 +253,9 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         :meth:`complete_batch` for the resulting 2e-12 relative rounding
         caveat).
 
-        The sweep loop itself runs through the active backend's
-        ``solve_stacked`` (all built-in backends share the NumPy Jacobi
-        implementation); this method owns normalisation, degenerate-slot
-        short-circuiting and the width-gating setup.
+        The sweep loop itself is :func:`repro.inference.als.solve_stacked`;
+        this method owns normalisation, degenerate-slot short-circuiting and
+        the width-gating setup.
         """
         n_batch, n_cells, n_cycles = data.shape
         rank = min(self.rank, n_cells, n_cycles)
@@ -388,16 +328,9 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
             smooth=smooth,
             left_gate=left_gate,
             right_gate=right_gate,
-            tolerance=self.tolerance,
-            shard_rows=self.shard_rows,
         )
         with phase("als.solve_stacked"):
-            U, V, sweeps_run = get_backend(self.backend).solve_stacked(problem)
-        self.solver_stats.record(
-            matrices=n_batch,
-            sweeps_run=sweeps_run,
-            budget=self.iterations,
-            sharded=self.shard_rows is not None and n_cells > self.shard_rows,
-        )
+            U, V = als.solve_stacked(problem)
+        self.solver_stats.record(matrices=n_batch, sweeps_run=self.iterations)
         completed = U @ V.transpose(0, 2, 1)
         return completed * scales[:, None, None] + means[:, None, None]

@@ -80,6 +80,10 @@ class ServingActor:
         return self.network.n_actions
 
     @property
+    def state_shape(self) -> tuple:
+        return self.network.state_shape
+
+    @property
     def version(self) -> int:
         """The snapshot version the actor currently serves from."""
         return self._version

@@ -32,7 +32,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.inference.backends import SolverStats
+from repro.inference.als import SolverStats
 from repro.mcs.policies import CellSelectionPolicy
 from repro.mcs.results import CampaignResult, CycleRecord
 from repro.mcs.task import SensingTask
@@ -48,7 +48,7 @@ def _same_attributes(a, b, *, skip: frozenset = frozenset()) -> bool:
     """Attribute-wise equality of two same-type component instances.
 
     RNG state (``numpy.random.Generator`` attributes) and
-    :class:`~repro.inference.backends.SolverStats` telemetry are deliberately
+    :class:`~repro.inference.als.SolverStats` telemetry are deliberately
     ignored — neither changes *what* a component computes (stats counters
     merely diverge as instances run); arrays compare by value; everything
     else by ``==`` (objects without a value-based ``__eq__``, e.g. committee

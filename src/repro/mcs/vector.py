@@ -76,25 +76,13 @@ class BatchedSparseMCSVectorEnv(VectorEnv):
 
         Environments built from one config carry separately seeded instances
         of the same solver; those batch fine (the batched solver uses one
-        initialisation anyway).  Different types or hyper-parameters do not —
-        nor do different execution backends or convergence/sharding knobs,
-        which can be numerically different and must not pool into one
-        stacked solve.
+        initialisation anyway).  Different types or hyper-parameters do not.
         """
         if a is b:
             return True
         if type(a) is not type(b):
             return False
-        solver_params = (
-            "rank",
-            "regularization",
-            "temporal_weight",
-            "iterations",
-            "backend",
-            "tolerance",
-            "shard_rows",
-            "shard_overlap",
-        )
+        solver_params = ("rank", "regularization", "temporal_weight", "iterations")
         return all(
             getattr(a, name, None) == getattr(b, name, None) for name in solver_params
         )

@@ -118,6 +118,11 @@ class QNetworkBase:
         self.loss = get_loss(loss)
         self._grad_scratch: Optional[np.ndarray] = None
 
+    @property
+    def state_shape(self) -> tuple:
+        """The ``(window, n_cells)`` shape of one state (subclasses set both)."""
+        return (self.window, self.n_cells)
+
     # -- inference ---------------------------------------------------------
 
     def predict(self, states: np.ndarray) -> np.ndarray:

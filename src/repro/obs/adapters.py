@@ -11,7 +11,7 @@ family                    source
 ========================  =====================================================
 ``repro_serve_*``         :class:`~repro.serve.stats.ServerStats` (endpoint,
                           tenant, cache, tick counters + latency samples)
-``repro_als_*``           :class:`~repro.inference.backends.base.SolverStats`
+``repro_als_*``           :class:`~repro.inference.als.SolverStats`
 ``repro_learner_*``       :meth:`~repro.learner.core.Learner.telemetry`
                           (weight staleness + replay-buffer occupancy)
 ``repro_train_*``         :class:`~repro.core.trainer.TrainingReport`
@@ -171,21 +171,16 @@ def server_stats_metrics(stats: Any) -> Dict[str, object]:
 # -- ALS -------------------------------------------------------------------------
 
 _ALS_COUNTERS = {
-    "solves": ("repro_als_solves_total", "Backend solve calls"),
+    "solves": ("repro_als_solves_total", "ALS kernel solve calls"),
     "matrices": ("repro_als_matrices_total", "Matrices completed"),
     "sweeps_run": ("repro_als_sweeps_run_total", "ALS sweeps executed"),
-    "sweeps_saved": (
-        "repro_als_sweeps_saved_total",
-        "Budgeted sweeps skipped by convergence early-exit",
-    ),
-    "sharded_solves": ("repro_als_sharded_solves_total", "Row-block sharded solves"),
 }
 
 
 def ingest_solver_stats(
     registry: MetricsRegistry, solver_stats: Any, *, backend: str = "numpy"
 ) -> None:
-    """Mirror a :class:`~repro.inference.backends.base.SolverStats` into ``repro_als_*``."""
+    """Mirror a :class:`~repro.inference.als.SolverStats` into ``repro_als_*``."""
     for attr, (name, help_text) in _ALS_COUNTERS.items():
         registry.counter(name, help_text).set_total(
             getattr(solver_stats, attr), backend=backend

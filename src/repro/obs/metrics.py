@@ -1,7 +1,7 @@
 """The obs metrics core: counters, gauges, histograms in one string-keyed registry.
 
 The serving stack's telemetry grew organically — :class:`~repro.serve.stats.
-ServerStats` counters, :class:`~repro.inference.backends.base.SolverStats`,
+ServerStats` counters, :class:`~repro.inference.als.SolverStats`,
 :meth:`~repro.learner.core.Learner.telemetry` — each speaking its own
 dialect.  This module is the convergence point: a
 :class:`MetricsRegistry` holds every metric under one ``repro_*`` namespace

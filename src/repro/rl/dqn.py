@@ -136,6 +136,10 @@ class DQNAgent:
     def n_actions(self) -> int:
         return self.online.n_actions
 
+    @property
+    def state_shape(self) -> tuple:
+        return self.online.state_shape
+
     # -- acting ------------------------------------------------------------
 
     def select_action(

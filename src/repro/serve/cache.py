@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.inference.backends import SolverStats
+from repro.inference.als import SolverStats
 from repro.inference.base import InferenceAlgorithm
 from repro.utils.validation import check_positive_int
 
@@ -73,12 +73,11 @@ def inference_fingerprint(inference: InferenceAlgorithm) -> str:
     """Configuration fingerprint of an inference algorithm instance.
 
     Hashes the type and every instance attribute except RNG objects and
-    :class:`~repro.inference.backends.SolverStats` telemetry (neither changes
+    :class:`~repro.inference.als.SolverStats` telemetry (neither changes
     what the algorithm computes); array attributes (e.g. KNN coordinates)
     are hashed by content.  Instances with equal configuration therefore
     share completions, while any attribute difference — including a frozen
-    initialisation seed or the execution *backend* (numerically different
-    backends must not cross-serve completions) — keeps them apart.
+    initialisation seed — keeps them apart.
     """
     parts = [f"{type(inference).__module__}.{type(inference).__qualname__}"]
     for key in sorted(vars(inference)):

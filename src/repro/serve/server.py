@@ -249,6 +249,12 @@ class DecisionServer:
         ``agent`` may be a :class:`~repro.core.drcell.DRCellAgent` or the
         underlying :class:`~repro.rl.dqn.DQNAgent`; wrappers are unwrapped so
         queries against the same shared agent always batch together.
+
+        Raises ``ValueError`` here, before queueing, when ``state`` is not a
+        finite array of the agent's state shape, or ``mask`` is not a
+        boolean vector over its actions with at least one allowed: the
+        agent answers a flush's queries in one call, so a query it cannot
+        answer must not fail the queries pooled with it.
         """
         if not hasattr(agent, "select_actions") and hasattr(agent, "agent"):
             agent = agent.agent  # DRCellAgent -> DQNAgent
@@ -257,6 +263,20 @@ class DecisionServer:
                 f"{type(agent).__name__} cannot serve policy queries; expected an "
                 "agent with a batched select_actions method"
             )
+        checked = np.asarray(state, dtype=float)
+        if checked.shape != agent.state_shape:
+            raise ValueError(
+                f"state shape {checked.shape} does not match the agent's {agent.state_shape}"
+            )
+        if not np.isfinite(checked).all():
+            raise ValueError("state must be finite")
+        allowed = np.asarray(mask, dtype=bool)
+        if allowed.shape != (agent.n_actions,):
+            raise ValueError(
+                f"mask shape {allowed.shape} does not match n_actions {agent.n_actions}"
+            )
+        if not allowed.any():
+            raise ValueError("mask allows no action")
         payload = SelectQuery(agent=agent, state=state, mask=mask, greedy=bool(greedy))
         return self._submit("select", payload, tenant=tenant)
 

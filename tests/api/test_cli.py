@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.api.cli import constrain_to_scale, load_spec, main, override_als_backend
-from repro.api.registry import UnknownComponentError
+from repro.api.cli import constrain_to_scale, load_spec, main
+from repro.api.registry import Registry
+from repro.api.session import unaccepted_parameters
 from repro.api.specs import ScenarioSpec
 from repro.experiments.config import TINY_SCALE
 
@@ -24,7 +25,6 @@ class TestCommands:
         assert main(["components"]) == 0
         out = capsys.readouterr().out
         assert "sensorscope" in out and "als" in out and "drcell" in out
-        assert "als backends:" in out and "numpy_grouped" in out
 
     def test_run_tiny_scenario(self, tiny_scenario_path, tmp_path, capsys):
         save_dir = tmp_path / "saved"
@@ -89,43 +89,48 @@ class TestSlotLevelScaleConstraint:
             assert slot.assessor.params["max_loo_cells"] <= TINY_SCALE.max_loo_cells
 
 
-class TestALSBackendOverride:
-    def test_backend_pinned_everywhere(self, tiny_scenario_path):
-        import dataclasses
+class TestValidateParams:
+    """``validate`` rejects a param the component's factory cannot take,
+    which ``run`` would otherwise only hit when it builds the component."""
 
-        from repro.api.specs import InferenceSpec
+    def write(self, tmp_path, tiny_scenario_path, edit):
+        data = json.loads(tiny_scenario_path.read_text(encoding="utf-8"))
+        edit(data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
 
-        spec = load_spec(tiny_scenario_path)
-        spec = spec.replace(
-            slots=tuple(
-                dataclasses.replace(slot, inference=InferenceSpec("als", {}))
-                for slot in spec.slots
-            )
+    def test_als_backend_param_fails_naming_it(self, tmp_path, tiny_scenario_path, capsys):
+        path = self.write(
+            tmp_path,
+            tiny_scenario_path,
+            lambda data: data["inference"]["params"].update(backend="numpy"),
         )
-        pinned = override_als_backend(spec, "numpy_grouped")
-        assert pinned.inference.params["backend"] == "numpy_grouped"
-        for slot in pinned.slots:
-            assert slot.inference.params["backend"] == "numpy_grouped"
-        # Non-ALS components are untouched and the spec still round-trips.
-        assert ScenarioSpec.from_json(pinned.to_json()) == pinned
+        assert main(["validate", path]) == 1
+        assert "backend" in capsys.readouterr().err
 
-    def test_unknown_backend_fails_fast(self, tiny_scenario_path):
-        with pytest.raises(UnknownComponentError):
-            override_als_backend(load_spec(tiny_scenario_path), "cuda-quantum")
+    def test_slot_level_params_are_checked_too(self, tmp_path, tiny_scenario_path, capsys):
+        def edit(data):
+            data["slots"][1]["dataset"]["params"]["strange"] = 3
+            data["slots"][0]["assessor"] = {"name": "oracle", "params": {}}
 
-    def test_run_with_backend_flag(self, tiny_scenario_path, capsys):
-        code = main(
-            [
-                "run",
-                str(tiny_scenario_path),
-                "--scale",
-                "tiny",
-                "--als-backend",
-                "numpy_grouped",
-            ]
-        )
-        assert code == 0
-        assert "evaluation" in capsys.readouterr().out
+        assert main(["validate", self.write(tmp_path, tiny_scenario_path, edit)]) == 1
+        err = capsys.readouterr().err
+        assert "dataset 'uair'" in err and "strange" in err
+
+    def test_session_switches_pass(self, tmp_path, tiny_scenario_path):
+        def edit(data):
+            data["slots"][0]["policy"]["params"]["train"] = False
+            data["slots"][1]["inference"] = {"name": "committee", "params": {"rank": 2}}
+
+        assert main(["validate", self.write(tmp_path, tiny_scenario_path, edit)]) == 0
+
+    def test_a_kwargs_factory_accepts_any_key(self):
+        registry = Registry("widget")
+        registry.register("loose", lambda size=1, **extra: None)
+        registry.register("strict", lambda size=1: None)
+        assert unaccepted_parameters(registry, "loose", {"anything": 1}) == []
+        assert unaccepted_parameters(registry, "strict", {"size": 2, "b": 0, "a": 0}) == ["a", "b"]
 
 
 class TestServeCommand:

@@ -1,37 +1,30 @@
-"""Tests for the pluggable ALS execution-backend layer.
+"""Tests for the ALS kernel, :mod:`repro.inference.als`.
 
 Three guarantees are pinned here:
 
-* **Bit-exactness** — the default ``numpy`` backend reproduces the pre-backend
-  kernel bit for bit, asserted against golden outputs generated *before* the
-  refactor (``tests/inference/data/als_golden.npz``).
-* **Parity** — the vectorized-grouped backend, block sharding, and the
-  optional ``numba``/``torch`` backends track the baseline within their
-  documented tolerances.
-* **Isolation** — backend identity is part of an instance's configuration:
-  completion-cache fingerprints and batched-pooling equivalence both keep
-  numerically different backends apart.
+* **Bit-exactness** — ``complete`` and ``complete_batch`` reproduce the
+  golden outputs in ``tests/inference/data/als_golden.npz`` bit for bit.
+* **Parity** — the bucketed :func:`~repro.inference.als.solve` returns the
+  bytes of the per-row-loop reference in ``als_reference.py`` over ranks
+  1–5, μ ∈ {0, 0.1, 0.3}, one-cell and one-cycle windows, shapes up to
+  6000 × 96, and rows and columns with no observation.
+* **No knobs** — every solve runs its full sweep budget, densely; the
+  ``backend`` metrics label is a class attribute, outside the configuration
+  that fingerprints and pooling compare.
 """
 
 import numpy as np
 import pytest
 
-from repro.api.registry import INFERENCE, UnknownComponentError
-from repro.inference.backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    ENV_BACKEND_VAR,
-    available_backends,
-    get_backend,
-    resolve_backend_name,
-)
-from repro.inference.backends.base import row_blocks
-from repro.inference.backends.grouped import bucket_rows
+from repro.inference import als
+from repro.inference.als import bucket_rows
 from repro.inference.compressive import CompressiveSensingInference
 from repro.mcs.vector import BatchedSparseMCSVectorEnv
-from repro.serve.cache import CachingInference, CompletionCache, inference_fingerprint
+from repro.serve.cache import inference_fingerprint
 
 from tests.conftest import mask_entries
+from tests.inference.als_reference import reference_solve
+from tests.inference.test_stacked_sweep import random_matrix
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +41,17 @@ def make_inference(**kwargs):
     return CompressiveSensingInference(**kwargs)
 
 
+def complete_both(monkeypatch, observed, **kwargs):
+    """``complete`` through the bucketed solve, then through the reference."""
+    bucketed = make_inference(**kwargs).complete(observed)
+    with monkeypatch.context() as patch:
+        patch.setattr(als, "solve", reference_solve)
+        reference = make_inference(**kwargs).complete(observed)
+    return bucketed, reference
+
+
 class TestGoldenBitExactness:
-    """The default backend is bit-for-bit the pre-backend kernel."""
+    """``complete`` and ``complete_batch`` are bit-for-bit the golden kernel."""
 
     def test_complete_matches_pre_refactor_golden(self, golden):
         completed = make_inference().complete(golden["observed"])
@@ -62,74 +64,37 @@ class TestGoldenBitExactness:
         assert np.array_equal(batch[1], golden["batch_second"])
 
     def test_zero_tolerance_and_no_sharding_are_the_defaults(self):
+        """They are the only behaviour: the constructor takes no such knob."""
         inference = make_inference()
-        assert inference.backend == DEFAULT_BACKEND
-        assert inference.tolerance == 0.0
-        assert inference.shard_rows is None
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "numpy_grouped" in names
-        for description in names.values():
-            assert description  # every backend documents itself
-
-    def test_unknown_backend_fails_fast_with_available_keys(self):
-        with pytest.raises(UnknownComponentError) as excinfo:
-            make_inference(backend="no-such-backend")
-        assert "numpy" in str(excinfo.value)
-
-    def test_backend_instances_are_singletons(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_resolution_precedence_env_over_arg_over_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND_VAR, raising=False)
-        assert resolve_backend_name() == DEFAULT_BACKEND
-        assert resolve_backend_name("numpy_grouped") == "numpy_grouped"
-        monkeypatch.setenv(ENV_BACKEND_VAR, "numpy")
-        assert resolve_backend_name("numpy_grouped") == "numpy"
-
-    def test_env_override_applies_at_construction(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND_VAR, "numpy_grouped")
-        inference = make_inference(backend="numpy")
-        assert inference.backend == "numpy_grouped"
-        # Resolution is frozen at construction: clearing the variable later
-        # does not change an existing instance.
-        monkeypatch.delenv(ENV_BACKEND_VAR)
-        assert inference.backend == "numpy_grouped"
-
-    def test_spec_params_reach_the_backend(self):
-        inference = INFERENCE.create("als", backend="numpy_grouped", tolerance=1e-2)
-        assert inference.backend == "numpy_grouped"
-        assert inference.tolerance == 1e-2
+        assert inference.backend == "numpy"
+        assert "backend" not in vars(inference)
+        for knob, value in (("backend", "numpy"), ("tolerance", 1e-2)):
+            with pytest.raises(TypeError, match=knob):
+                make_inference(**{knob: value})
 
 
 class TestGroupedParity:
     @pytest.mark.parametrize("fraction_missing", [0.2, 0.5, 0.8])
-    def test_grouped_matches_baseline(self, low_rank_matrix, rng, fraction_missing):
+    def test_grouped_matches_baseline(self, monkeypatch, low_rank_matrix, rng, fraction_missing):
         observed = mask_entries(low_rank_matrix, fraction_missing, rng)
-        baseline = make_inference().complete(observed)
-        grouped = make_inference(backend="numpy_grouped").complete(observed)
-        assert np.abs(grouped - baseline).max() <= 1e-10
+        bucketed, reference = complete_both(monkeypatch, observed)
+        assert bucketed.tobytes() == reference.tobytes()
 
-    def test_grouped_handles_unobserved_rows(self, low_rank_matrix, rng):
+    def test_grouped_handles_unobserved_rows(self, monkeypatch, low_rank_matrix, rng):
         observed = mask_entries(low_rank_matrix, 0.5, rng)
         observed[3, :] = np.nan  # a fully unobserved cell
-        baseline = make_inference().complete(observed)
-        grouped = make_inference(backend="numpy_grouped").complete(observed)
-        assert np.abs(grouped - baseline).max() <= 1e-10
+        bucketed, reference = complete_both(monkeypatch, observed)
+        assert bucketed.tobytes() == reference.tobytes()
 
     def test_bucketing_partitions_observed_rows(self, low_rank_matrix, rng):
         observed = mask_entries(low_rank_matrix, 0.5, rng)
+        observed[2, :] = np.nan
         mask = ~np.isnan(observed)
         normalised = np.where(mask, observed, 0.0)
-        rows = np.arange(observed.shape[0])
-        buckets = bucket_rows(mask, normalised, rows)
+        buckets = bucket_rows(mask, normalised)
         covered = np.concatenate([bucket.rows for bucket in buckets])
-        expected = rows[mask[rows].sum(axis=1) > 0]
-        assert sorted(covered.tolist()) == sorted(expected.tolist())
+        expected = np.flatnonzero(mask.sum(axis=1) > 0)
+        assert sorted(covered.tolist()) == expected.tolist()
         for bucket in buckets:
             # Every member of a bucket has the same observation count, and
             # the gathered targets match the raw matrix entries.
@@ -138,80 +103,37 @@ class TestGroupedParity:
             gathered = normalised[bucket.rows[:, None], bucket.obs_columns]
             assert np.array_equal(gathered, bucket.targets)
 
-
-class TestSharding:
-    def test_row_blocks_cover_all_rows(self):
-        blocks = row_blocks(10, 4)
-        assert [b.tolist() for b in blocks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-        overlapping = row_blocks(10, 4, 2)
-        assert overlapping[1].tolist() == [2, 3, 4, 5, 6, 7]
-        assert overlapping[2].tolist() == [6, 7, 8, 9]
-        (dense,) = row_blocks(5, None)
-        assert np.array_equal(dense, np.arange(5))
-
-    @pytest.mark.parametrize("backend", ["numpy", "numpy_grouped"])
-    @pytest.mark.parametrize("shard_rows,shard_overlap", [(5, 0), (5, 2), (4, 1)])
-    def test_sharded_matches_dense(
-        self, low_rank_matrix, rng, backend, shard_rows, shard_overlap
-    ):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        dense = make_inference(backend=backend).complete(observed)
-        sharded = make_inference(
-            backend=backend, shard_rows=shard_rows, shard_overlap=shard_overlap
-        ).complete(observed)
-        # Each slice of the stacked solve is independent and the cycle
-        # factors are fixed during the cell half-step, so sharding is exact.
-        assert np.array_equal(sharded, dense)
-
-    def test_sharded_batch_matches_dense_batch(self, low_rank_matrix, rng):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        dense = make_inference().complete_batch([observed, observed * 2.0])
-        sharded = make_inference(shard_rows=5).complete_batch(
-            [observed, observed * 2.0]
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "shape, empty",
+        [((1, 8), (0, 2)), ((10, 1), (3, 0)), ((20, 8), (2, 1)), ((57, 24), (4, 3))],
+        ids=["one_cell", "one_cycle", "20x8", "57x24"],
+    )
+    def test_solve_matches_reference(self, monkeypatch, shape, empty, rank, mu):
+        rng = np.random.default_rng([rank, int(10 * mu), *shape])
+        observed = random_matrix(rng, *shape, empty_rows=empty[0], empty_cols=empty[1])
+        bucketed, reference = complete_both(
+            monkeypatch, observed, rank=rank, temporal_weight=mu, iterations=6
         )
-        for got, want in zip(sharded, dense):
-            assert np.abs(got - want).max() <= 1e-12
+        assert bucketed.tobytes() == reference.tobytes()
 
-    def test_sharded_solves_counted(self, low_rank_matrix, rng):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        inference = make_inference(shard_rows=5)
-        inference.complete(observed)
-        assert inference.solver_stats.sharded_solves == 1
-
-    def test_overlap_must_be_smaller_than_block(self):
-        with pytest.raises(ValueError, match="shard_overlap"):
-            make_inference(shard_rows=4, shard_overlap=4)
+    @pytest.mark.parametrize("shape", [(2000, 48), (6000, 96)], ids=["2000x48", "6000x96"])
+    def test_large_solve_matches_reference(self, monkeypatch, shape):
+        rng = np.random.default_rng(shape)
+        observed = random_matrix(rng, *shape, density=0.3, empty_rows=50, empty_cols=2)
+        bucketed, reference = complete_both(monkeypatch, observed, iterations=3)
+        assert bucketed.tobytes() == reference.tobytes()
 
 
 class TestConvergenceEarlyExit:
+    """There is no convergence early exit: every solve runs its budget."""
+
     def test_disabled_by_default_runs_full_budget(self, golden):
         inference = make_inference(iterations=30)
         inference.complete(golden["observed"])
-        assert inference.solver_stats.sweeps_run == 30
-        assert inference.solver_stats.sweeps_saved == 0
-
-    @pytest.mark.parametrize("backend", ["numpy", "numpy_grouped"])
-    def test_tolerance_saves_sweeps(self, golden, backend):
-        inference = make_inference(iterations=30, tolerance=1e-2, backend=backend)
-        inference.complete(golden["observed"])
-        stats = inference.solver_stats
-        assert 0 < stats.sweeps_run < 30
-        assert stats.sweeps_saved == 30 - stats.sweeps_run
-
-    def test_converged_result_close_to_full_budget(self, golden):
-        full = make_inference(iterations=30).complete(golden["observed"])
-        early = make_inference(iterations=30, tolerance=1e-2).complete(
-            golden["observed"]
-        )
-        assert np.abs(early - full).max() < 0.2
-
-    def test_tolerance_applies_to_batched_path(self, golden):
-        observed = golden["observed"]
-        inference = make_inference(iterations=30, tolerance=1e-2)
-        inference.complete_batch([observed, observed * 1.5])
-        stats = inference.solver_stats
-        assert stats.matrices == 2
-        assert stats.sweeps_saved > 0
+        inference.complete_batch([golden["observed"]] * 2)
+        assert inference.solver_stats.sweeps_run == 60
 
     def test_stats_reset(self, golden):
         inference = make_inference()
@@ -222,18 +144,11 @@ class TestConvergenceEarlyExit:
             "solves": 0,
             "matrices": 0,
             "sweeps_run": 0,
-            "sweeps_saved": 0,
-            "sharded_solves": 0,
         }
 
 
 class TestBackendIsolation:
-    """Backend identity keeps caches and pooled batches apart."""
-
-    def test_fingerprints_differ_by_backend(self):
-        baseline = make_inference()
-        grouped = make_inference(backend="numpy_grouped")
-        assert inference_fingerprint(baseline) != inference_fingerprint(grouped)
+    """Only real configuration keeps caches and pooled batches apart."""
 
     def test_fingerprint_ignores_solver_stats(self, golden):
         inference = make_inference()
@@ -241,80 +156,9 @@ class TestBackendIsolation:
         inference.complete(golden["observed"])  # mutates the stats counters
         assert inference_fingerprint(inference) == before
 
-    def test_backends_do_not_cross_serve_cached_completions(self, golden):
-        cache = CompletionCache(capacity=8)
-        observed = golden["observed"]
-        baseline = CachingInference(make_inference(), cache)
-        grouped = CachingInference(make_inference(backend="numpy_grouped"), cache)
-        baseline.complete(observed)
-        assert cache.misses == 1
-        grouped.complete(observed)
-        # Identical ALS hyper-parameters, same matrix — but a different
-        # backend key must miss, not reuse the baseline's entry.
-        assert cache.misses == 2
-        assert cache.hits == 0
-        assert len(cache) == 2
-        # Same backend does hit.
-        baseline.complete(observed)
-        assert cache.hits == 1
-
-    def test_pooling_equivalence_requires_same_backend(self):
-        a = make_inference()
-        b = make_inference(backend="numpy_grouped")
-        c = make_inference(tolerance=1e-2)
-        d = make_inference(shard_rows=5)
-        same = make_inference(seed=99)  # different seed only — still pools
+    def test_backend_label_is_not_configuration(self):
+        fingerprint = inference_fingerprint(make_inference())
+        assert "backend" not in fingerprint and "tolerance" not in fingerprint
         eq = BatchedSparseMCSVectorEnv._equivalent_inference
-        assert not eq(a, b)
-        assert not eq(a, c)
-        assert not eq(a, d)
-        assert eq(a, same)
-
-
-class TestOptionalBackends:
-    """Parity of the numba / torch backends (skipped when not installed)."""
-
-    @pytest.fixture(params=["numba", "torch"])
-    def optional_backend(self, request):
-        pytest.importorskip(request.param)
-        if request.param not in BACKENDS:
-            pytest.skip(f"{request.param} installed but backend not registered")
-        return request.param
-
-    def test_optional_backend_parity(self, optional_backend, low_rank_matrix, rng):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        baseline = make_inference().complete(observed)
-        other = make_inference(backend=optional_backend).complete(observed)
-        # Same mathematics, different accumulation order: float-rounding
-        # differences compound over sweeps but stay far below data scale.
-        assert np.abs(other - baseline).max() <= 1e-6
-
-    def test_optional_backend_tolerance_early_exit(
-        self, optional_backend, low_rank_matrix, rng
-    ):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        inference = make_inference(
-            iterations=30, tolerance=1e-2, backend=optional_backend
-        )
-        inference.complete(observed)
-        assert inference.solver_stats.sweeps_run < 30
-
-    def test_optional_backend_figure6_outputs_match(self, optional_backend, monkeypatch):
-        from repro.experiments.config import TINY_SCALE
-        from repro.experiments.figure6 import run_figure6
-
-        kwargs = dict(
-            tasks=("temperature",), p_values=(0.9,), policies=("RANDOM",), seed=0
-        )
-        monkeypatch.delenv(ENV_BACKEND_VAR, raising=False)
-        reference = run_figure6(TINY_SCALE, **kwargs)
-        monkeypatch.setenv(ENV_BACKEND_VAR, optional_backend)
-        other = run_figure6(TINY_SCALE, **kwargs)
-        for row_a, row_b in zip(reference.rows, other.rows):
-            assert row_a.policy == row_b.policy
-            assert row_a.mean_selected_per_cycle == pytest.approx(
-                row_b.mean_selected_per_cycle, abs=0.5
-            )
-            assert row_a.quality_satisfied_fraction == pytest.approx(
-                row_b.quality_satisfied_fraction, abs=0.25
-            )
+        assert eq(make_inference(), make_inference(seed=99))  # seed only: pools
+        assert not eq(make_inference(), make_inference(temporal_weight=0.3))

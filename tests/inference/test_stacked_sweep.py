@@ -1,16 +1,17 @@
 """Byte parity of the stacked (Jacobi) ALS sweep with its earlier form.
 
-``ALSBackend.solve_stacked`` is the kernel behind every ``complete_batch``,
-so every LOO assessment and training quality check runs it.  Its leaner form
-(views for row blocks, packed upper-triangle grams reduced by two-operand
+``repro.inference.als.solve_stacked`` is the kernel behind every
+``complete_batch``, so every LOO assessment and training quality check runs
+it.  Its leaner form (packed upper-triangle grams reduced by two-operand
 einsums, direct stacked LAPACK solves, identity gates skipped when every
 factor updates, in-place ridge/smoothness terms) must return the same bytes
-as the sweep it replaced.  ``reference_solve_stacked``
-below keeps that earlier sweep verbatim; each test captures the
+as the sweep it replaced.  ``reference_solve_stacked`` below keeps that
+earlier sweep, less its row-block and early-exit branches (the defaults
+never took them, and the options are gone); each test captures the
 ``StackedALSProblem`` objects that ``CompressiveSensingInference.
-complete_batch`` really builds and compares ``tobytes()`` of U, V and the
-sweep count.  ``als_golden.npz`` pins a single two-matrix case; this file
-covers the gating, width-bucketing, sharding and early-exit branches.
+complete_batch`` really builds and compares ``tobytes()`` of U and V.
+``als_golden.npz`` pins a single two-matrix case; this file covers the
+gating and width-bucketing branches.
 """
 
 from __future__ import annotations
@@ -21,45 +22,28 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.inference.backends import base, get_backend
-from repro.inference.backends.base import (
-    ALSBackend,
-    StackedALSProblem,
-    factor_delta,
-    row_blocks,
-)
+from repro.inference import als
+from repro.inference.als import StackedALSProblem
 from repro.inference.compressive import CompressiveSensingInference
 
-#: The sweep under test, taken before any test patches the class.
-solve_stacked = ALSBackend.solve_stacked
+#: The sweep under test, taken before any test patches the module.
+solve_stacked = als.solve_stacked
 
 
 def reference_solve_stacked(problem):
-    """The stacked sweep as it was before the leaner form, kept verbatim."""
+    """The stacked sweep as it was before the leaner form."""
     normalised, maskf = problem.normalised, problem.maskf
     U, V = problem.cell_init, problem.cycle_init
     rank = problem.rank
     ridge = problem.regularization * np.eye(rank)
     mu = problem.mu
     eye = np.eye(rank)
-    n_cells = normalised.shape[1]
-    blocks = row_blocks(n_cells, problem.shard_rows)
-    sweeps_run = 0
     for _ in range(problem.iterations):
-        previous = (U.copy(), V.copy()) if problem.tolerance > 0 else None
-
-        for block in blocks:
-            grams = (
-                np.einsum("kij,kjr,kjs->kirs", maskf[:, block], V, V) + ridge
-            )
-            grams = np.where(
-                problem.row_has_obs[:, block][..., None], grams, eye
-            )
-            rhs = normalised[:, block] @ V
-            solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
-            U[:, block] = np.where(
-                problem.row_has_obs[:, block], solved, U[:, block]
-            )
+        grams = np.einsum("kij,kjr,kjs->kirs", maskf, V, V) + ridge
+        grams = np.where(problem.row_has_obs[..., None], grams, eye)
+        rhs = normalised @ V
+        solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
+        U = np.where(problem.row_has_obs, solved, U)
 
         grams = np.einsum("kij,kir,kis->kjrs", maskf, U, U) + ridge
         rhs = np.einsum("kij,kir->kjr", normalised, U)
@@ -76,35 +60,29 @@ def reference_solve_stacked(problem):
         grams = np.where(problem.col_update[..., None], grams, eye)
         solved = np.linalg.solve(grams, rhs[..., None])[..., 0]
         V = np.where(problem.col_update, solved, V)
-
-        sweeps_run += 1
-        if previous is not None and factor_delta(U, V, *previous) < problem.tolerance:
-            break
-    return U, V, sweeps_run
+    return U, V
 
 
 @pytest.fixture
 def captured(monkeypatch):
-    """Every StackedALSProblem handed to a backend, copied before it runs."""
+    """Every StackedALSProblem handed to the kernel, copied before it runs."""
     problems = []
 
-    def spy(self, problem):
+    def spy(problem):
         problems.append(copy.deepcopy(problem))
-        return solve_stacked(self, problem)
+        return solve_stacked(problem)
 
-    monkeypatch.setattr(ALSBackend, "solve_stacked", spy)
+    monkeypatch.setattr(als, "solve_stacked", spy)
     return problems
 
 
 def assert_byte_parity(problems):
     assert problems, "no stacked solve was captured"
-    backend = get_backend("numpy")
     for problem in problems:
-        U_ref, V_ref, sweeps_ref = reference_solve_stacked(copy.deepcopy(problem))
-        U, V, sweeps = solve_stacked(backend, copy.deepcopy(problem))
+        U_ref, V_ref = reference_solve_stacked(copy.deepcopy(problem))
+        U, V = solve_stacked(copy.deepcopy(problem))
         assert U.tobytes() == U_ref.tobytes()
         assert V.tobytes() == V_ref.tobytes()
-        assert sweeps == sweeps_ref
 
 
 def random_matrix(rng, n_cells, n_cycles, density=0.5, empty_rows=0, empty_cols=0):
@@ -163,24 +141,6 @@ def test_mixed_width_stack_uses_the_gates(captured, temporal_weight):
     assert any(problem.left_gate is not None for problem in captured)
 
 
-@pytest.mark.parametrize("shard_rows", [1, 4, 7, 50])
-def test_shard_rows_blocks(captured, shard_rows):
-    rng = np.random.default_rng(shard_rows)
-    matrices = [random_matrix(rng, 23, 10, empty_rows=2) for _ in range(4)]
-    solve(captured, matrices, rank=3, shard_rows=shard_rows)
-
-
-@pytest.mark.parametrize("tolerance", [1e-2, 1e-1])
-def test_tolerance_early_exit(captured, tolerance):
-    rng = np.random.default_rng(5)
-    matrices = [random_matrix(rng, 18, 8, density=0.7) for _ in range(6)]
-    solve(captured, matrices, rank=3, tolerance=tolerance, iterations=30)
-    assert any(
-        reference_solve_stacked(copy.deepcopy(problem))[2] < problem.iterations
-        for problem in captured
-    )
-
-
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
 def test_single_slot_stack(captured, rank):
     rng = np.random.default_rng(20 + rank)
@@ -217,7 +177,6 @@ def test_many_random_problems(captured):
             temporal_weight=float(rng.choice([0.0, 0.05, 0.3])),
             regularization=float(rng.choice([0.01, 0.1, 1.0])),
             iterations=int(rng.integers(1, 9)),
-            shard_rows=None if rng.random() < 0.7 else int(rng.integers(1, n_cells + 1)),
             seed=int(rng.integers(1000)),
         ).complete_batch(matrices)
     assert len(captured) >= 40
@@ -238,14 +197,12 @@ def loo_stack(rng, n_windows=4):
     return matrices
 
 
-@pytest.mark.parametrize("shard_rows", [None, 1])
-def test_loo_shaped_stack(captured, shard_rows):
+def test_loo_shaped_stack(captured):
     """The large same-width stacks of an LOO assessment (K >= 34), whose
-    packed grams run the widest einsums; ``shard_rows=1`` makes every row
-    block a single-row view of the cells-last mask."""
+    packed grams run the widest einsums."""
     rng = np.random.default_rng(34)
     matrices = loo_stack(rng)
-    solve(captured, matrices, rank=3, temporal_weight=0.1, iterations=8, shard_rows=shard_rows)
+    solve(captured, matrices, rank=3, temporal_weight=0.1, iterations=8)
     assert len(captured) == 1 and captured[0].normalised.shape[0] >= 34
 
 
@@ -300,13 +257,13 @@ def singular_problem(rank=2):
 )
 def test_singular_stack_raises_without_warning(monkeypatch, raw_lapack, rank):
     if not raw_lapack:
-        monkeypatch.setattr(base, "_solve_vector", None)
+        monkeypatch.setattr(als, "_solve_vector", None)
     with pytest.raises(np.linalg.LinAlgError):
         reference_solve_stacked(singular_problem(rank))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            solve_stacked(get_backend("numpy"), singular_problem(rank))
+            solve_stacked(singular_problem(rank))
 
 
 def test_rank_one_division_is_lapack_bytes():
@@ -326,7 +283,7 @@ def test_rank_one_division_is_lapack_bytes():
         grams, rhs = pivots[..., None, None], rhs[..., None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = base.solve_stack(grams, rhs)
+            got = als.solve_stack(grams, rhs)
         with np.errstate(all="ignore"):
             expected = _umath_linalg.solve1(grams, rhs)
         assert got.tobytes() == expected.tobytes()
@@ -341,7 +298,7 @@ def test_rank_one_zero_pivot_raises_without_warning(pivot):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            base.solve_stack(grams, rhs)
+            als.solve_stack(grams, rhs)
 
 
 def test_fallback_solve_is_byte_identical(captured, monkeypatch):
@@ -351,5 +308,5 @@ def test_fallback_solve_is_byte_identical(captured, monkeypatch):
     CompressiveSensingInference(rank=3, temporal_weight=0.1, seed=0).complete_batch(
         [random_matrix(rng, 20, 8, empty_rows=2) for _ in range(6)]
     )
-    monkeypatch.setattr(base, "_solve_vector", None)
+    monkeypatch.setattr(als, "_solve_vector", None)
     assert_byte_parity(captured)

@@ -11,7 +11,7 @@ from typing import Tuple
 
 import pytest
 
-from repro.inference.backends.base import SolverStats
+from repro.inference.als import SolverStats
 from repro.obs.adapters import (
     ingest_learner,
     ingest_server_stats,
@@ -104,11 +104,10 @@ class TestSolverStatsIngestion:
         solver_stats.solves = 7
         solver_stats.matrices = 3
         solver_stats.sweeps_run = 12
-        solver_stats.sweeps_saved = 2
         registry = MetricsRegistry()
         ingest_solver_stats(registry, solver_stats, backend="numpy")
         assert registry.get("repro_als_solves_total").value(backend="numpy") == 7
-        assert registry.get("repro_als_sweeps_saved_total").value(backend="numpy") == 2
+        assert registry.get("repro_als_sweeps_run_total").value(backend="numpy") == 12
 
     def test_metrics_method_matches_the_adapter(self):
         solver_stats = SolverStats()

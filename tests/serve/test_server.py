@@ -266,6 +266,49 @@ class TestPoisonedRequests:
 
         assert serve(poisoned=True) == serve(poisoned=False)
 
+    @pytest.mark.parametrize(
+        "poison, message",
+        [
+            ("long_mask", "mask shape"),
+            ("narrow_state", "state shape"),
+            ("no_action", "allows no action"),
+            ("nan_state", "finite"),
+        ],
+    )
+    def test_poisoned_select_fails_alone(self, poison, message):
+        """Greedy and exploring queries pooled with a poisoned one resolve
+        to the actions (and leave the exploration RNG where) they would
+        without it."""
+        observed = partial_window(seed=6)
+        sensed = ~np.isnan(observed[:, -1])
+
+        def serve(poisoned):
+            agent = tiny_agent(seed=5)
+            state = agent.state_model.from_observations(observed, observed.shape[1] - 1, sensed)
+            mask = agent.action_space.mask_from_sensed(sensed)
+            bad_state, bad_mask = {
+                "long_mask": (state, np.ones(7, dtype=bool)),
+                "narrow_state": (state[:, :-1], mask),
+                "no_action": (state, np.zeros_like(mask)),
+                "nan_state": (np.full_like(state, np.nan), mask),
+            }[poison]
+            server = DecisionServer()
+            futures = [server.select_cell(agent, state, mask, greedy=False)]
+            if poisoned:
+                with pytest.raises(ValueError, match=message):
+                    server.select_cell(agent, bad_state, bad_mask, greedy=False)
+            futures += [
+                server.select_cell(agent, state, mask, greedy=True),
+                server.select_cell(agent, state, mask, greedy=False),
+            ]
+            server.flush()
+            rng_state = agent.agent._rng.bit_generator.state
+            return [future.result() for future in futures], rng_state, server.stats.endpoint(
+                "select"
+            ).requests
+
+        assert serve(poisoned=True) == serve(poisoned=False)
+
     def test_assess_rejects_a_matrix_that_is_not_2d(self):
         requirement = QualityRequirement(epsilon=0.6, p=0.8, metric="mae")
         assessor = LeaveOneOutBayesianAssessor(min_observations=2)
