@@ -32,6 +32,7 @@ from repro.learner.replay import TransitionBatch
 from repro.learner.weights import WeightSnapshot, WeightStore
 from repro.mcs.environment import RewardModel
 from repro.mcs.policies import CellSelectionPolicy
+from repro.rl.dqn import delta_greedy, stack_queries
 from repro.rl.schedules import Schedule
 from repro.utils.seeding import RngLike, as_rng
 
@@ -120,43 +121,25 @@ class ServingActor:
     ) -> List[int]:
         """δ-greedy selection over the latest snapshot; one stacked forward.
 
-        Mirrors :meth:`~repro.rl.dqn.DQNAgent.select_actions` draw for draw
-        (explore/exploit draw, then the choice draw) on the actor's own RNG
+        Runs the same :func:`~repro.rl.dqn.delta_greedy` helper as
+        :meth:`~repro.rl.dqn.DQNAgent.select_actions` on the actor's own RNG
         stream, with the exploration schedule evaluated at the snapshot's
         ``total_steps``.  Pulls before predicting, so a flushed batch always
         runs against the freshest published weights.
         """
         self.pull()
-        states = list(states)
-        n = len(states)
-        if masks is None:
-            masks = [None] * n
-        if len(masks) != n:
-            raise ValueError(f"{n} states but {len(masks)} masks")
-        if isinstance(greedy, (bool, np.bool_)):
-            greedy_flags = [bool(greedy)] * n
-        else:
-            greedy_flags = [bool(flag) for flag in greedy]
-            if len(greedy_flags) != n:
-                raise ValueError(f"{n} states but {len(greedy_flags)} greedy flags")
-        if n == 0:
+        batch, stacked_masks, greedy_flags = stack_queries(
+            states, masks, greedy, self.n_actions
+        )
+        if not greedy_flags:
             return []
-        validated = [self._validate_mask(mask) for mask in masks]
-        q_batch = self.network.predict(np.stack([np.asarray(s) for s in states]))
-        actions: List[int] = []
-        for q, mask, is_greedy in zip(q_batch, validated, greedy_flags):
-            valid = np.flatnonzero(mask)
-            if valid.size == 0:
-                raise ValueError("no valid actions available")
-            delta = 0.0 if is_greedy else self.exploration(self.snapshot.total_steps)
-            if self._rng.random() < delta:
-                actions.append(int(self._rng.choice(valid)))
-            else:
-                masked = np.where(mask, q, -np.inf)
-                best = float(masked.max())
-                candidates = np.flatnonzero(masked == best)
-                actions.append(int(self._rng.choice(candidates)))
-        return actions
+        delta = self.exploration(self.snapshot.total_steps)
+        return delta_greedy(
+            self.network.predict(batch),
+            stacked_masks,
+            self._rng,
+            [0.0 if flag else delta for flag in greedy_flags],
+        )
 
     def select_action(
         self,
@@ -194,16 +177,6 @@ class ServingActor:
         snapshot = self.store.latest
         self.network.set_weights(snapshot.weights)
         self._snapshot = snapshot
-
-    def _validate_mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        if mask is None:
-            return np.ones(self.n_actions, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n_actions,):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match n_actions {self.n_actions}"
-            )
-        return mask
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ServingActor(version={self._version})"

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.drcell import DRCellAgent
 from repro.learner.replay import ReplayService, TransitionBatch
 from repro.learner.weights import WeightSnapshot, WeightStore
@@ -134,6 +136,36 @@ class Learner:
         self.store.use_clock(clock)
 
     # -- ingestion ---------------------------------------------------------------
+
+    def check_batch(self, batch: TransitionBatch) -> None:
+        """Raise ``ValueError`` unless :meth:`ingest` can take ``batch`` whole.
+
+        ``batch`` must be a :class:`TransitionBatch` whose five arrays share
+        one length, whose states and next states are finite and shaped
+        ``(len, *state_shape)``, whose actions lie in ``[0, n_actions)``
+        and whose rewards are finite.
+        """
+        if not isinstance(batch, TransitionBatch):
+            raise ValueError(f"expected TransitionBatch, got {type(batch).__name__}")
+        dqn = self.agent.agent
+        n = np.shape(batch.actions)[:1]
+        if not n:
+            raise ValueError("actions must be a 1-D array")
+        state = n + tuple(dqn.state_shape)
+        expected = {
+            "actions": n, "rewards": n, "dones": n, "states": state, "next_states": state
+        }
+        for name, shape in expected.items():
+            if np.shape(getattr(batch, name)) != shape:
+                raise ValueError(
+                    f"{name} shape {np.shape(getattr(batch, name))} does not match {shape}"
+                )
+        for name in ("states", "next_states", "rewards"):
+            if not np.isfinite(np.asarray(getattr(batch, name), dtype=float)).all():
+                raise ValueError(f"{name} must be finite")
+        actions = np.asarray(batch.actions)
+        if not ((actions >= 0) & (actions < dqn.n_actions)).all():
+            raise ValueError(f"actions must lie in [0, {dqn.n_actions})")
 
     def ingest(self, batches: Sequence[TransitionBatch]) -> List[Dict[str, object]]:
         """Ingest campaign batches in submission order; one receipt per batch.

@@ -84,15 +84,21 @@ class Tanh(Activation):
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable sigmoid used by both the activation and the LSTM.
 
-    A single ``exp(-|x|)`` feeds both the positive branch ``1/(1+z)`` and the
-    negative branch ``z/(1+z)``; ``where`` selects per element.  This is
-    element-for-element identical to the classic two-branch form, never
-    overflows, and avoids the boolean gather/scatter that dominated the small
-    hot-path arrays.
+    A single ``z = exp(-|x|)`` and a single ``d = 1 + z`` feed both the
+    positive branch ``1/d`` and the negative branch ``z/d``; ``where``
+    selects per element.  This is element-for-element identical to the
+    classic two-branch form and never overflows.  The intermediates are
+    computed in place in two fresh buffers, so scalar and 0-d input work too
+    (a 0-d result is a 0-d array).
     """
     x = np.asarray(x, dtype=float)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    z = np.abs(x, out=np.empty_like(x))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    d = np.add(z, 1.0, out=np.empty_like(x))
+    np.divide(z, d, out=z)
+    np.divide(1.0, d, out=d)
+    return np.where(x >= 0, d, z)
 
 
 _REGISTRY: Dict[str, Type[Activation]] = {

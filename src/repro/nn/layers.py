@@ -242,8 +242,8 @@ class LSTM(Layer):
         c = np.zeros((batch, hidden), dtype=float)
 
         # All four gates of every timestep live in one (steps, batch, 4H)
-        # slab; per-step activations are applied to fused column slices
-        # instead of four separate temporaries.
+        # slab; per-step activations are applied to the whole slab instead
+        # of four separate temporaries.
         gates = np.empty((steps, batch, 4 * hidden), dtype=float)
         cells = np.empty((steps, batch, hidden), dtype=float)
         hiddens = np.empty((steps, batch, hidden), dtype=float)
@@ -257,9 +257,11 @@ class LSTM(Layer):
             np.matmul(h, Wh, out=scratch)
             z += scratch
             z += b
-            z[:, : 2 * hidden] = sigmoid(z[:, : 2 * hidden])
-            z[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
-            z[:, 3 * hidden :] = sigmoid(z[:, 3 * hidden :])
+            # One sigmoid over the whole slab; the candidate slice keeps
+            # its tanh, taken first and written back.
+            np.tanh(z[:, 2 * hidden : 3 * hidden], out=scratch_h)
+            z[...] = sigmoid(z)
+            z[:, 2 * hidden : 3 * hidden] = scratch_h
             i = z[:, :hidden]
             f = z[:, hidden : 2 * hidden]
             g = z[:, 2 * hidden : 3 * hidden]

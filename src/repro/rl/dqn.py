@@ -8,7 +8,7 @@ feed-forward DQN ablation and the paper's recurrent DRQN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,6 +99,81 @@ class EpisodeStats:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
+def stack_queries(
+    states: Sequence[np.ndarray],
+    masks: Optional[Sequence[Optional[np.ndarray]]],
+    greedy: Union[bool, Sequence[bool]],
+    n_actions: int,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], List[bool]]:
+    """Normalise the arguments of a ``select_actions`` call.
+
+    Returns the stacked states, the stacked ``(n, n_actions)`` boolean masks
+    (``None`` masks allow every action) and one greedy flag per state; both
+    stacks are ``None`` when there are no states.
+    """
+    states = list(states)
+    n = len(states)
+    if masks is None:
+        masks = [None] * n
+    if len(masks) != n:
+        raise ValueError(f"{n} states but {len(masks)} masks")
+    if isinstance(greedy, (bool, np.bool_)):
+        greedy_flags = [bool(greedy)] * n
+    else:
+        greedy_flags = [bool(flag) for flag in greedy]
+        if len(greedy_flags) != n:
+            raise ValueError(f"{n} states but {len(greedy_flags)} greedy flags")
+    if n == 0:
+        return None, None, []
+    stacked = np.ones((n, n_actions), dtype=bool)
+    for row, mask in enumerate(masks):
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (n_actions,):
+                raise ValueError(
+                    f"mask shape {mask.shape} does not match n_actions {n_actions}"
+                )
+            stacked[row] = mask
+    return np.stack([np.asarray(state) for state in states]), stacked, greedy_flags
+
+
+def delta_greedy(
+    q: np.ndarray,
+    masks: np.ndarray,
+    rng: np.random.Generator,
+    deltas: Optional[Sequence[float]] = None,
+) -> List[int]:
+    """δ-greedy selection over a ``(n, n_actions)`` batch of Q-values.
+
+    Row by row, ``rng.random() < deltas[row]`` explores with ``rng.choice``
+    over the row's valid actions; otherwise the row takes its masked argmax,
+    breaking ties with ``rng.choice`` over the tied best actions.  The
+    masked maximum, the tie matrix and its argmax are computed once for the
+    whole batch, and a choice over a single candidate is skipped because it
+    draws nothing, so the RNG stream is consumed exactly as per-row
+    selection in row order would consume it.  ``deltas=None`` skips the
+    explore draw: every row exploits (for callers that resolved exploration
+    beforehand).
+
+    Raises ``ValueError`` before any draw when a mask allows no action.  A
+    row whose masked Q-values hold a NaN maximum has no tied best action,
+    so its ``rng.choice`` raises ``ValueError`` as the per-row form does.
+    """
+    masks = np.asarray(masks, dtype=bool)
+    if not masks.any(axis=1).all():
+        raise ValueError("no valid actions available")
+    masked = np.where(masks, q, -np.inf)
+    ties = masked == masked.max(axis=1, keepdims=True)
+    actions = ties.argmax(axis=1).tolist()
+    n_tied = ties.sum(axis=1).tolist()
+    for row in range(len(actions)):
+        if deltas is not None and rng.random() < deltas[row]:
+            actions[row] = int(rng.choice(np.flatnonzero(masks[row])))
+        elif n_tied[row] != 1:
+            actions[row] = int(rng.choice(np.flatnonzero(ties[row])))
+    return actions
+
+
 class DQNAgent:
     """Deep Q-learning agent with experience replay and fixed Q-targets.
 
@@ -150,21 +225,7 @@ class DQNAgent:
         greedy: bool = False,
     ) -> int:
         """δ-greedy action selection restricted to valid actions."""
-        mask = self._validate_mask(mask)
-        valid = np.flatnonzero(mask)
-        if valid.size == 0:
-            raise ValueError("no valid actions available")
-        delta = 0.0 if greedy else self.exploration(self.total_steps)
-        if self._rng.random() < delta:
-            return int(self._rng.choice(valid))
-        return self._greedy_from_q(self.online.q_values(state), mask)
-
-    def _greedy_from_q(self, q: np.ndarray, mask: np.ndarray) -> int:
-        """Masked argmax with uniform random tie-breaking over the best actions."""
-        masked = np.where(mask, q, -np.inf)
-        best = float(masked.max())
-        candidates = np.flatnonzero(masked == best)
-        return int(self._rng.choice(candidates))
+        return self.select_actions([state], masks=[mask], greedy=greedy)[0]
 
     def select_actions(
         self,
@@ -176,42 +237,26 @@ class DQNAgent:
         """δ-greedy selection for several states with one stacked forward pass.
 
         The serving hot path: N pending policy queries against one shared
-        agent cost one ``predict`` over the stacked states instead of N
-        single-state forwards.  The exploration RNG is consumed in exactly
-        the order sequential :meth:`select_action` calls would consume it —
-        per request, the explore/exploit draw followed by the (tie-breaking
-        or exploratory) choice draw — because the Q-network forward itself
-        draws no randomness.  Stacked forwards can differ from single-state
+        agent cost one ``predict`` over the stacked states and one
+        :func:`delta_greedy` over the Q batch.  The exploration RNG is
+        consumed in exactly the order sequential :meth:`select_action`
+        calls would consume it, because the Q-network forward itself draws
+        no randomness.  Stacked forwards can differ from single-state
         forwards by float rounding (~1 ulp), which only matters when two
         Q-values tie to within that noise.
         """
-        states = list(states)
-        n = len(states)
-        if masks is None:
-            masks = [None] * n
-        if len(masks) != n:
-            raise ValueError(f"{n} states but {len(masks)} masks")
-        if isinstance(greedy, (bool, np.bool_)):
-            greedy_flags = [bool(greedy)] * n
-        else:
-            greedy_flags = [bool(flag) for flag in greedy]
-            if len(greedy_flags) != n:
-                raise ValueError(f"{n} states but {len(greedy_flags)} greedy flags")
-        if n == 0:
+        batch, stacked_masks, greedy_flags = stack_queries(
+            states, masks, greedy, self.n_actions
+        )
+        if not greedy_flags:
             return []
-        validated = [self._validate_mask(mask) for mask in masks]
-        q_batch = self.online.predict(np.stack([np.asarray(s) for s in states]))
-        actions: List[int] = []
-        for q, mask, is_greedy in zip(q_batch, validated, greedy_flags):
-            valid = np.flatnonzero(mask)
-            if valid.size == 0:
-                raise ValueError("no valid actions available")
-            delta = 0.0 if is_greedy else self.exploration(self.total_steps)
-            if self._rng.random() < delta:
-                actions.append(int(self._rng.choice(valid)))
-            else:
-                actions.append(self._greedy_from_q(q, mask))
-        return actions
+        delta = self.exploration(self.total_steps)
+        return delta_greedy(
+            self.online.predict(batch),
+            stacked_masks,
+            self._rng,
+            [0.0 if flag else delta for flag in greedy_flags],
+        )
 
     def q_values(self, state: np.ndarray) -> np.ndarray:
         """Online-network Q-values for a single state."""
@@ -472,8 +517,9 @@ class DQNAgent:
                 q_batch = self.online.predict(
                     np.stack([states[active[row]] for row in exploit_rows])
                 )
-                for position, row in enumerate(exploit_rows):
-                    actions[row] = self._greedy_from_q(q_batch[position], masks[row])
+                greedy = delta_greedy(q_batch, masks[exploit_rows], self._rng)
+                for row, action in zip(exploit_rows, greedy):
+                    actions[row] = action
 
             results = vec.step_many(list(zip(active, actions)))
 
@@ -564,15 +610,3 @@ class DQNAgent:
     def sync_target(self) -> None:
         """Force-copy online weights into the target network."""
         self.target.copy_weights_from(self.online)
-
-    # -- helpers -----------------------------------------------------------
-
-    def _validate_mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        if mask is None:
-            return np.ones(self.n_actions, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n_actions,):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match n_actions {self.n_actions}"
-            )
-        return mask

@@ -152,7 +152,7 @@ class CompleteQuery:
 class LearnQuery:
     """Payload of a ``learn_batch`` request."""
 
-    learner: Any  # repro.learner.core.Learner (anything with ingest/telemetry)
+    learner: Any  # repro.learner.core.Learner (anything with ingest/check_batch/telemetry)
     batch: Any  # repro.learner.replay.TransitionBatch
 
 
@@ -335,18 +335,24 @@ class DecisionServer:
         """Queue a transition batch for the central learner; resolves to a receipt.
 
         ``learner`` is a :class:`~repro.learner.core.Learner` (anything with
-        an ``ingest(batches) -> receipts`` method); ``batch`` a
-        :class:`~repro.learner.replay.TransitionBatch`.  Batches for the
-        same learner that land in one flush are ingested in submission
-        order with a single ``ingest`` call, and the learner's combined
+        ``ingest(batches) -> receipts`` and ``check_batch(batch)``
+        methods); ``batch`` a :class:`~repro.learner.replay.TransitionBatch`.
+        Batches for the same learner that land in one flush are ingested in
+        submission order with a single ``ingest`` call, and the learner's combined
         staleness/ingestion telemetry is snapshotted into
         :attr:`ServerStats.learners` after every flush.
+
+        Raises ``ValueError`` here, before queueing, when the learner's
+        ``check_batch`` refuses ``batch``: the learner ingests a flush's
+        batches in one call, so a batch it cannot take must not fail, or
+        half-apply, the batches pooled with it.
         """
         if not hasattr(learner, "ingest"):
             raise TypeError(
                 f"{type(learner).__name__} cannot ingest transition batches; "
                 "expected a learner with an ingest method"
             )
+        learner.check_batch(batch)
         return self._submit("learn", LearnQuery(learner=learner, batch=batch), tenant=tenant)
 
     def _submit(self, kind: str, payload: Any, *, tenant: str = DEFAULT_TENANT) -> PendingResult:

@@ -9,6 +9,7 @@ through :class:`~repro.serve.stats.ServerStats`.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +162,61 @@ class TestFusedMultiCampaign:
         )
         with pytest.raises(TypeError):
             server.learn_batch(object(), batch)
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            lambda batch: {"states": batch.states},
+            lambda batch: replace(batch, rewards=batch.rewards[:2]),
+            lambda batch: replace(batch, dones=batch.dones[:, None]),
+            lambda batch: replace(batch, actions=batch.actions[:, None]),
+            lambda batch: replace(batch, states=np.zeros((3, 2, 7))),
+            lambda batch: replace(batch, next_states=np.zeros((3, 8))),
+            lambda batch: replace(batch, states=np.where(batch.states == 0, np.nan, 1.0)),
+            lambda batch: replace(batch, next_states=np.full((3, 2, 8), np.inf)),
+            lambda batch: replace(batch, actions=np.array([0, 8, 1])),
+            lambda batch: replace(batch, actions=np.array([0, -1, 1])),
+            lambda batch: replace(batch, rewards=np.array([0.0, np.nan, 1.0])),
+        ],
+        ids=[
+            "not-a-batch",
+            "short-rewards",
+            "2-d-dones",
+            "2-d-actions",
+            "state-shape",
+            "next-state-shape",
+            "nan-states",
+            "inf-next-states",
+            "action-too-large",
+            "negative-action",
+            "nan-reward",
+        ],
+    )
+    def test_learner_endpoint_refuses_poisoned_batch_alone(self, poison):
+        learner = Learner(
+            build_agent(), config=LearnerConfig(steps_per_publish=1, minibatch=16)
+        )
+        dqn = learner.agent.agent
+        server = DecisionServer(ServeConfig(max_batch=32, max_wait_ticks=1))
+        good = TransitionBatch(
+            campaign="good",
+            states=np.zeros((3, 2, 8)),
+            actions=np.array([0, 7, 3]),
+            rewards=np.ones(3),
+            next_states=np.ones((3, 2, 8)),
+            dones=np.zeros(3, dtype=bool),
+        )
+        before = (len(dqn.replay), dqn.learn_steps, learner.store.version)
+        receipt = server.learn_batch(learner, good)
+        with pytest.raises(ValueError):
+            server.learn_batch(learner, poison(good))
+        assert (len(dqn.replay), dqn.learn_steps, learner.store.version) == before
+        assert server.stats.endpoint("learn").requests == 1
+
+        server.flush()
+        assert receipt.result()["transitions"] == 3
+        assert len(dqn.replay) == before[0] + 3
+        assert learner.store.version == before[2] + 1
 
     def test_shared_replay_carries_warm_start_experience(self):
         # A trained agent's newest transitions survive the switch to the
