@@ -1,36 +1,24 @@
-"""``fingerprint-completeness``: configuration state, fingerprints and pooling agree.
+"""``fingerprint-completeness``: configuration state and the component key agree.
 
-Three mechanisms all reason about "the configuration of an inference
-component", and each silently breaks when a constructor gains state the
-others do not know about:
-
-* :func:`repro.serve.cache.inference_fingerprint` keys the completion cache —
-  an attribute it misses makes differently-configured instances *share*
-  cached completions (wrong results, not just a slow path);
-* :meth:`repro.mcs.vector.BatchedSparseMCSVectorEnv._equivalent_inference`
-  decides which environments may pool into one stacked ALS solve via the
-  ``solver_params`` tuple — a solver knob missing there stacks numerically
-  different solves together;
-* the campaign-level predicates (:func:`repro.mcs.campaign._equivalent_inference`
-  and friends) ``skip`` exactly the attributes the vector check already
-  covers plus the frozen init seed — a typo'd or overgrown ``skip`` set
-  again pools non-equivalent work.
-
-This rule cross-checks all three against the constructors themselves:
+:func:`repro.serve.cache.config_key` is the one answer to "are these two
+components the same configuration?": it keys the completion cache, and its
+:func:`~repro.serve.cache.pool_key` view decides which components share one
+pooled solve.  It silently breaks when a constructor gains state the key
+cannot see, or when a class exempts real configuration from pooling.  This
+rule cross-checks the key against the constructors themselves:
 
 1. every ``__init__`` parameter of an :class:`InferenceAlgorithm` /
    ``QualityAssessor`` subclass must flow into stored state (a ``self.*``
    assignment, possibly through locals, or a ``super().__init__`` /
-   ``self.method`` call) — a dropped parameter is configuration the
-   fingerprint can never see;
-2. for classes that batch-pool (``BATCH_POOLED_CLASSES``), every stored
-   attribute outside the declared non-semantic set must appear in the
-   ``solver_params`` tuple;
-3. every name in a campaign-level ``skip`` set must be covered by
-   ``solver_params`` or be a declared non-semantic attribute;
-4. every function named ``inference_fingerprint`` must be auditable:
-   *generic* implementations (``for key in sorted(vars(...))``) may only
-   exempt the known non-semantic types/attributes; *explicit* ones
+   ``self.method`` call) — a dropped parameter is configuration the key
+   can never see;
+2. every name in a class's ``batch_shared`` (the attributes ``pool_key``
+   drops) must be a stored attribute fed only by the constructor's ``seed``
+   parameter — anything else is configuration that would pool differently
+   configured instances into one solve;
+3. every function named ``config_key`` must be auditable: *generic*
+   implementations (``for key in sorted(vars(...))``) may only exempt the
+   known non-semantic types/attributes; *explicit* ones
    (``for key in ("rank", ...)``) must list every semantic stored attribute
    of every audited class — deleting a key is a finding.
 
@@ -42,7 +30,7 @@ runtime ``isinstance(value, np.random.Generator)`` exclusion.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import dotted_name, literal_strings
 from repro.analysis.finding import Finding
@@ -52,21 +40,17 @@ from repro.analysis.registry import AnalysisRule, RULES
 #: Root base classes whose transitive subclasses this rule audits.
 AUDITED_BASES = frozenset({"InferenceAlgorithm", "QualityAssessor"})
 
-#: Classes that participate in batched pooling, mapped to the stored
-#: attributes that are deliberately *not* pooling-relevant (telemetry and the
-#: frozen init seed — the batched solver uses one initialisation anyway).
-BATCH_POOLED_CLASSES: Mapping[str, frozenset] = {
-    "CompressiveSensingInference": frozenset({"_init_seed", "solver_stats"}),
-}
-
-#: Type names a generic fingerprint may exempt via ``isinstance(...): continue``.
+#: Type names a generic config_key may exempt via ``isinstance(...): continue``.
 FINGERPRINT_EXEMPT_TYPES = frozenset({"Generator", "SolverStats"})
 
-#: Attribute names any fingerprint may skip: run-time telemetry only.
+#: Attribute names any config_key may skip: run-time telemetry only.
 FINGERPRINT_EXEMPT_ATTRS = frozenset({"solver_stats"})
 
-#: Calls whose result is RNG state (exempt from fingerprints by type).
+#: Calls whose result is RNG state (exempt from the key by type).
 _RNG_FACTORY_TAILS = frozenset({"as_rng", "derive_rng", "default_rng"})
+
+#: The one constructor parameter a ``batch_shared`` attribute may derive from.
+_SEED_PARAM = "seed"
 
 
 class _ClassInfo:
@@ -82,9 +66,22 @@ class _ClassInfo:
             if isinstance(statement, ast.FunctionDef) and statement.name == "__init__":
                 self.init = statement
                 break
+        #: The class-level ``batch_shared`` assignment and its literal names
+        #: (``None`` when the value is not a literal tuple of strings).
+        self.batch_shared_node: Optional[ast.Assign] = None
+        self.batch_shared: Optional[Tuple[str, ...]] = None
+        for statement in node.body:
+            if isinstance(statement, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "batch_shared"
+                for target in statement.targets
+            ):
+                self.batch_shared_node = statement
+                self.batch_shared = literal_strings(statement.value)
         self.params: List[str] = []
         self.stored: Set[str] = set()
         self.rng_attrs: Set[str] = set()
+        #: Constructor parameters that reach each stored attribute.
+        self.feeds: Dict[str, Set[str]] = {}
         self.uncaptured: List[str] = []
         if self.init is not None:
             self._analyse_init(self.init)
@@ -102,6 +99,7 @@ class _ClassInfo:
         # ``x = check(param); self.y = x`` still counts as capturing ``param``.
         captured: Set[str] = set()
         local_feeds: Dict[str, Set[str]] = {}
+        attr_sources: Dict[str, Set[str]] = {}
         for node in ast.walk(init):
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -118,6 +116,7 @@ class _ClassInfo:
                         ):
                             stores_self = True
                             self.stored.add(sub.attr)
+                            attr_sources.setdefault(sub.attr, set()).update(loaded)
                             if _is_rng_factory_value(node.value):
                                 self.rng_attrs.add(sub.attr)
                         elif isinstance(sub, ast.Name):
@@ -141,18 +140,23 @@ class _ClassInfo:
                     for arg in list(node.args) + [kw.value for kw in node.keywords]:
                         captured.update(_loaded_names(arg))
 
-        # Fixpoint: a local that feeds captured state captures its sources.
-        changed = True
-        while changed:
-            changed = False
-            for local, sources in local_feeds.items():
-                if local in captured and not sources <= captured:
-                    captured.update(sources)
-                    changed = True
+        def reach(names: Set[str]) -> Set[str]:
+            # A local that feeds stored state feeds it with its own sources.
+            reached, frontier = set(names), list(names)
+            while frontier:
+                for source in local_feeds.get(frontier.pop(), ()):
+                    if source not in reached:
+                        reached.add(source)
+                        frontier.append(source)
+            return reached
+
+        captured = reach(captured)
         self.uncaptured = [name for name in self.params if name not in captured]
+        for attr, sources in attr_sources.items():
+            self.feeds[attr] = reach(sources) & set(self.params)
 
     def semantic_attrs(self) -> Set[str]:
-        """Stored attributes a fingerprint must cover."""
+        """Stored attributes the key must cover."""
         return self.stored - self.rng_attrs - FINGERPRINT_EXEMPT_ATTRS
 
 
@@ -171,7 +175,7 @@ def _is_rng_factory_value(node: Optional[ast.AST]) -> bool:
 
     Only a direct call counts: ``self._rng = as_rng(seed)`` stores a
     Generator, but ``self._init_seed = int(as_rng(seed).integers(...))``
-    stores an int that fingerprints must cover.
+    stores an int that the key must cover.
     """
     if not isinstance(node, ast.Call):
         return False
@@ -213,44 +217,8 @@ def _collect_audited_classes(project: Project) -> List[_ClassInfo]:
     ]
 
 
-def _find_solver_params(project: Project) -> Tuple[Optional[SourceFile], Optional[ast.AST], Set[str]]:
-    """The literal ``solver_params`` tuple inside a ``_equivalent_inference``."""
-    for source in project.files:
-        for node in ast.walk(source.tree):
-            if not (isinstance(node, ast.FunctionDef) and node.name == "_equivalent_inference"):
-                continue
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Assign) and any(
-                    isinstance(target, ast.Name) and target.id == "solver_params"
-                    for target in sub.targets
-                ):
-                    values = literal_strings(sub.value)
-                    if values is not None:
-                        return source, sub, set(values)
-    return None, None, set()
-
-
-def _find_skip_sets(project: Project) -> Iterator[Tuple[SourceFile, ast.AST, Set[str]]]:
-    """Literal ``skip = frozenset((...))`` sets in pooling predicates."""
-    for source in project.files:
-        for node in ast.walk(source.tree):
-            if not (
-                isinstance(node, ast.FunctionDef)
-                and node.name in ("_equivalent_inference", "_equivalent_assessor")
-            ):
-                continue
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Assign) and any(
-                    isinstance(target, ast.Name) and target.id == "skip"
-                    for target in sub.targets
-                ):
-                    values = literal_strings(sub.value)
-                    if values is not None:
-                        yield source, sub, set(values)
-
-
-class _FingerprintImpl:
-    """Classification of one ``inference_fingerprint`` implementation."""
+class _ConfigKeyImpl:
+    """Classification of one ``config_key`` implementation."""
 
     def __init__(self, source: SourceFile, node: ast.FunctionDef) -> None:
         self.source = source
@@ -315,13 +283,12 @@ class _FingerprintImpl:
 class FingerprintCompletenessRule(AnalysisRule):
     id = "fingerprint-completeness"
     description = (
-        "constructor parameters, inference_fingerprint keys, solver_params pooling "
-        "tuples and campaign skip-sets must stay mutually consistent"
+        "constructor parameters, config_key and batch_shared pooling "
+        "exemptions must stay mutually consistent"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
         classes = _collect_audited_classes(project)
-        solver_source, solver_node, solver_params = _find_solver_params(project)
 
         # 1. Every constructor parameter flows into stored state.
         for info in classes:
@@ -330,61 +297,58 @@ class FingerprintCompletenessRule(AnalysisRule):
                     self.id,
                     info.init,
                     f"`{info.name}.__init__` parameter `{param}` never reaches stored "
-                    "state, so no fingerprint or pooling predicate can see it; store "
+                    "state, so the configuration key cannot see it; store "
                     "it (or drop the parameter)",
                 )
 
-        # 2. Pooled classes: stored semantic attrs covered by solver_params.
+        # 2. batch_shared only exempts seed-derived state from pooling.
         for info in classes:
-            exempt = BATCH_POOLED_CLASSES.get(info.name)
-            if exempt is None:
-                continue
-            if solver_node is None:
+            yield from self._check_batch_shared(info)
+
+        # 3. Every config_key implementation is complete.
+        yield from self._check_config_keys(project, classes)
+
+    def _check_batch_shared(self, info: _ClassInfo) -> Iterator[Finding]:
+        node = info.batch_shared_node
+        if node is None:
+            return
+        if info.batch_shared is None:
+            yield info.source.finding(
+                self.id,
+                node,
+                f"`{info.name}.batch_shared` is not a literal tuple of attribute "
+                "names, so the pooling exemption cannot be verified",
+            )
+            return
+        for name in info.batch_shared:
+            if name not in info.stored:
                 yield info.source.finding(
                     self.id,
-                    info.node,
-                    f"`{info.name}` is declared batch-pooled but no literal "
-                    "`solver_params` tuple was found in any `_equivalent_inference`; "
-                    "the pooling contract cannot be verified",
+                    node,
+                    f"`{info.name}.batch_shared` lists `{name}`, which `__init__` "
+                    "never stores",
                 )
-                continue
-            missing = sorted(info.stored - exempt - info.rng_attrs - solver_params)
-            if missing:
-                yield (solver_source or info.source).finding(
-                    self.id,
-                    solver_node,
-                    f"solver_params omits stored `{info.name}` attribute(s) "
-                    f"{missing}: differently-configured instances would pool into "
-                    "one stacked solve",
-                )
-
-        # 3. Campaign skip-sets only skip what the vector check already covers.
-        allowed_skips = solver_params | {"_init_seed"} | FINGERPRINT_EXEMPT_ATTRS
-        for source, node, skip in _find_skip_sets(project):
-            unexpected = sorted(skip - allowed_skips)
-            if unexpected:
-                yield source.finding(
+            elif info.feeds.get(name) != {_SEED_PARAM}:
+                fed = sorted(info.feeds.get(name, ()))
+                yield info.source.finding(
                     self.id,
                     node,
-                    f"pooling skip-set ignores attribute(s) {unexpected} that "
-                    "solver_params does not cover: non-equivalent components "
-                    "would pool",
+                    f"`{info.name}.batch_shared` lists `{name}`, fed by "
+                    f"constructor parameter(s) {fed} rather than `seed` alone: "
+                    "differently configured instances would pool into one solve",
                 )
 
-        # 4. Every inference_fingerprint implementation is complete.
-        yield from self._check_fingerprints(project, classes)
-
-    def _check_fingerprints(
+    def _check_config_keys(
         self, project: Project, classes: Sequence[_ClassInfo]
     ) -> Iterator[Finding]:
         for source in project.files:
             for node in ast.walk(source.tree):
                 if not (
                     isinstance(node, ast.FunctionDef)
-                    and node.name == "inference_fingerprint"
+                    and node.name == "config_key"
                 ):
                     continue
-                impl = _FingerprintImpl(source, node)
+                impl = _ConfigKeyImpl(source, node)
                 if impl.generic:
                     bad_types = sorted(
                         impl.exempt_type_names - FINGERPRINT_EXEMPT_TYPES
@@ -393,7 +357,7 @@ class FingerprintCompletenessRule(AnalysisRule):
                         yield source.finding(
                             self.id,
                             node,
-                            f"inference_fingerprint exempts type(s) {bad_types} beyond "
+                            f"config_key exempts type(s) {bad_types} beyond "
                             "the known non-semantic set (Generator, SolverStats): "
                             "configuration would escape the cache key",
                         )
@@ -402,8 +366,8 @@ class FingerprintCompletenessRule(AnalysisRule):
                         yield source.finding(
                             self.id,
                             node,
-                            f"inference_fingerprint skips attribute(s) {bad_keys} that "
-                            "are not telemetry: equal fingerprints would no longer "
+                            f"config_key skips attribute(s) {bad_keys} that "
+                            "are not telemetry: equal keys would no longer "
                             "imply equal completions",
                         )
                 elif impl.explicit_keys is not None:
@@ -413,7 +377,7 @@ class FingerprintCompletenessRule(AnalysisRule):
                             yield source.finding(
                                 self.id,
                                 node,
-                                f"inference_fingerprint key list omits stored "
+                                f"config_key key list omits stored "
                                 f"`{info.name}` attribute(s) {missing}: "
                                 "differently-configured instances would share "
                                 "cached completions",
@@ -422,7 +386,7 @@ class FingerprintCompletenessRule(AnalysisRule):
                     yield source.finding(
                         self.id,
                         node,
-                        "inference_fingerprint implementation is not statically "
+                        "config_key implementation is not statically "
                         "auditable (neither a vars() loop nor a literal key list); "
                         "restructure it or suppress with a reason",
                     )

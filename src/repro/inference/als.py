@@ -117,7 +117,7 @@ class SolverStats:
         ALS sweeps executed.
 
     The object is telemetry only — it never changes what the solver
-    computes — so cache fingerprints and pooling-equivalence checks skip it.
+    computes — so :func:`~repro.serve.cache.config_key` skips it.
     """
 
     solves: int = 0

@@ -48,7 +48,7 @@ def _initial_factors(
     Drawn from a fresh generator on the frozen ``init_seed``, so they depend
     only on the arguments; cached per argument tuple, read-only because
     every caller shares them.  Module-level, not an instance attribute: the
-    configuration fingerprints and equivalence checks read ``vars()``.
+    configuration key reads ``vars()``.
     """
     init_rng = np.random.default_rng(init_seed)
     cell_init = 0.1 * init_rng.standard_normal((n_cells, rank))
@@ -81,6 +81,10 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
     #: The ``backend`` label of the ``repro_als_*`` metrics.  A class
     #: attribute, not configuration: there is one kernel.
     backend = "numpy"
+    #: Attributes outside :func:`~repro.serve.cache.pool_key`: a batched
+    #: solve starts every slot from the lead's factors, so the frozen seed
+    #: does not keep equally configured instances out of one batch.
+    batch_shared = ("_init_seed",)
 
     def __init__(
         self,
@@ -95,7 +99,7 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         self.regularization = check_non_negative(regularization, "regularization")
         self.temporal_weight = check_non_negative(temporal_weight, "temporal_weight")
         self.iterations = check_positive_int(iterations, "iterations")
-        # Telemetry only — excluded from fingerprints and equivalence checks.
+        # Telemetry only — outside the configuration key.
         self.solver_stats = SolverStats()
         # Freeze the initialisation seed so that repeated `complete` calls on
         # the same instance (and the same input) return identical results.

@@ -17,7 +17,7 @@ complete the end-of-cycle windows, and the end-of-cycle hand-off — to an
 * :class:`CampaignRunner` — exact-sequential: one ``assess`` and one
   ``complete`` call per slot, the paper's Gauss–Seidel ALS;
 * :class:`BatchedCampaignRunner` — pooled: one ``assess_many`` and one
-  ``complete_batch`` call per equivalence class (:func:`_assess_pooled`,
+  ``complete_batch`` call per pool key (:func:`_assess_pooled`,
   :func:`_complete_pooled`);
 * :class:`~repro.mcs.served.ServedCampaignRunner` — served: each phase
   becomes server requests, and the loop yields until they resolve.  The
@@ -28,108 +28,19 @@ complete the end-of-cycle windows, and the end-of-cycle hand-off — to an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.inference.als import SolverStats
 from repro.mcs.policies import CellSelectionPolicy
 from repro.mcs.results import CampaignResult, CycleRecord
 from repro.mcs.task import SensingTask
-from repro.mcs.vector import BatchedSparseMCSVectorEnv
+from repro.serve.cache import pool_key
 from repro.serve.server import AssessQuery, CompleteQuery
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive_int
 
 logger = get_logger(__name__)
-
-
-def _same_attributes(a, b, *, skip: frozenset = frozenset()) -> bool:
-    """Attribute-wise equality of two same-type component instances.
-
-    RNG state (``numpy.random.Generator`` attributes) and
-    :class:`~repro.inference.als.SolverStats` telemetry are deliberately
-    ignored — neither changes *what* a component computes (stats counters
-    merely diverge as instances run); arrays compare by value; everything
-    else by ``==`` (objects without a value-based ``__eq__``, e.g. committee
-    containers, therefore only match themselves, which keeps the comparison
-    conservative).
-    """
-    state_a, state_b = vars(a), vars(b)
-    if set(state_a) != set(state_b):
-        return False
-    for key, value_a in state_a.items():
-        if key in skip:
-            continue
-        value_b = state_b[key]
-        if isinstance(value_a, (np.random.Generator, SolverStats)) or isinstance(
-            value_b, (np.random.Generator, SolverStats)
-        ):
-            continue
-        if isinstance(value_a, np.ndarray) or isinstance(value_b, np.ndarray):
-            if not (
-                isinstance(value_a, np.ndarray)
-                and isinstance(value_b, np.ndarray)
-                and value_a.shape == value_b.shape
-                and np.array_equal(value_a, value_b)
-            ):
-                return False
-        elif value_a != value_b:
-            return False
-    return True
-
-
-def _equivalent_inference(a, b) -> bool:
-    """True when two inference algorithms are interchangeable for pooling.
-
-    Starts from the :meth:`BatchedSparseMCSVectorEnv._equivalent_inference`
-    notion (same type, same ALS solver hyper-parameters, initialisation seed
-    ignored — the batched solver uses one initialisation anyway) and
-    additionally requires every *other* configuration attribute to match:
-    the vector-env check alone would treat e.g. ``KNNInference(k=2)`` and
-    ``KNNInference(k=7)`` as interchangeable because neither carries the ALS
-    parameter names.
-    """
-    if a is b:
-        return True
-    if not BatchedSparseMCSVectorEnv._equivalent_inference(a, b):
-        return False
-    skip = frozenset(("rank", "regularization", "temporal_weight", "iterations", "_init_seed"))
-    return _same_attributes(a, b, skip=skip)
-
-
-def _equivalent_assessor(a, b) -> bool:
-    """True when two assessors are interchangeable for a pooled assessment.
-
-    Mirrors :func:`_equivalent_inference` on the assessor side: distinct
-    instances of the same assessor class with equal configuration (and, for
-    oracle assessors, equal ground truth) compute the same quantity, so
-    lockstep slots carrying them can share one ``assess_many`` call.
-    """
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    return _same_attributes(a, b)
-
-
-def _group_by_equivalence(items, equivalent) -> List[List]:
-    """Partition ``items`` into groups whose members are pairwise ``equivalent``.
-
-    Equivalence is checked against each group's first member (the relation is
-    transitive for the attribute-equality notions used here), preserving
-    first-seen order so the pooled calls consume shared random streams in a
-    deterministic order.
-    """
-    groups: List[List] = []
-    for item in items:
-        for group in groups:
-            if equivalent(group[0], item):
-                group.append(item)
-                break
-        else:
-            groups.append([item])
-    return groups
 
 
 def _warn_on_window_mismatch(task: SensingTask, config: "CampaignConfig") -> None:
@@ -196,13 +107,26 @@ def _itself(value):
     return value
 
 
+def _group_by(queries, key) -> List[List[int]]:
+    """Indices of ``queries`` grouped by ``key(query)``, in first-seen order.
+
+    First-seen order makes the pooled calls consume shared random streams
+    in a deterministic order.
+    """
+    groups: Dict[Hashable, List[int]] = {}
+    for index, query in enumerate(queries):
+        groups.setdefault(key(query), []).append(index)
+    return list(groups.values())
+
+
 def _assess_pooled(items, query=_itself, *, cached=_itself, fail=None) -> List:
     """Verdicts for ``items``, one ``assess_many`` call per pooling class.
 
     ``query(item)`` exposes the :class:`~repro.serve.server.AssessQuery`
-    fields.  Items pool by (assessor, inference) *equivalence*, not
-    identity, in first-seen order, so distinct but equivalently configured
-    per-slot instances share one batched solve.  The representative runs
+    fields.  Items pool by the (assessor, inference)
+    :func:`~repro.serve.cache.pool_key` pair, not identity, in first-seen
+    order, so distinct but equivalently configured per-slot instances share
+    one batched solve.  The representative runs
     the pass through ``cached(inference)``, but each item draws from its
     *own* assessor's RNG stream, so its randomness does not depend on who
     shares its batch.
@@ -211,10 +135,8 @@ def _assess_pooled(items, query=_itself, *, cached=_itself, fail=None) -> List:
     """
     queries = [query(item) for item in items]
     verdicts: List = [None] * len(queries)
-    groups = _group_by_equivalence(
-        range(len(queries)),
-        lambda i, j: _equivalent_assessor(queries[i].assessor, queries[j].assessor)
-        and _equivalent_inference(queries[i].inference, queries[j].inference),
+    groups = _group_by(
+        queries, lambda query: (pool_key(query.assessor), pool_key(query.inference))
     )
     for group in groups:
         members = [queries[index] for index in group]
@@ -246,10 +168,7 @@ def _complete_pooled(items, query=_itself, *, cached=_itself, fail=None) -> List
     """
     queries = [query(item) for item in items]
     completed: List = [None] * len(queries)
-    groups = _group_by_equivalence(
-        range(len(queries)),
-        lambda i, j: _equivalent_inference(queries[i].inference, queries[j].inference),
-    )
+    groups = _group_by(queries, lambda query: pool_key(query.inference))
     for group in groups:
         inference = cached(queries[group[0]].inference)
         try:
@@ -476,7 +395,7 @@ class _SequentialExecutor:
 
 
 class _PooledExecutor(_SequentialExecutor):
-    """Pooled phases: one ``assess_many`` / ``complete_batch`` per equivalence class."""
+    """Pooled phases: one ``assess_many`` / ``complete_batch`` per pool key."""
 
     def assess(self, due, cycle):
         return _assess_pooled(
@@ -543,7 +462,7 @@ class BatchedCampaignRunner:
 
     * after each lockstep submission round, all due slots are assessed with
       one :meth:`~repro.quality.loo_bayesian.QualityAssessor.assess_many`
-      call per (assessor, inference) equivalence class, which pools every
+      call per (assessor, inference) pool key, which pools every
       slot's LOO completions into a single ``complete_batch`` solve;
     * at the end of each cycle, the not-fully-sensed slots' final inference
       windows are completed with one batched call per inference class.

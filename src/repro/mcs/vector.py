@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.inference.base import InferenceAlgorithm
 from repro.mcs.environment import SparseMCSEnvironment
 from repro.rl.vector_env import StepResult, VectorEnv
+from repro.serve.cache import pool_key
 
 
 class BatchedSparseMCSVectorEnv(VectorEnv):
@@ -43,10 +44,12 @@ class BatchedSparseMCSVectorEnv(VectorEnv):
         back to the generic per-environment loop (the base class's
         ``complete_batch`` is a sequential loop, so routing through it would
         batch nothing).  When no explicit algorithm is given, batching
-        also requires every environment's algorithm to be equivalently
-        configured (same type and solver hyper-parameters); mixing different
-        algorithms silently changes rewards, so heterogeneous environments
-        fall back to per-environment stepping instead.
+        also requires every environment's algorithm to share one
+        :func:`~repro.serve.cache.pool_key` (separately seeded instances of
+        one solver do: the batched solver uses one initialisation anyway);
+        mixing different algorithms silently changes rewards, so
+        heterogeneous environments fall back to per-environment stepping
+        instead.
     """
 
     def __init__(
@@ -66,26 +69,8 @@ class BatchedSparseMCSVectorEnv(VectorEnv):
         self._batched = getattr(self.inference, "supports_batch_completion", False)
         if self._batched and inference is None:
             self._batched = all(
-                self._equivalent_inference(env.inference, self.inference)
-                for env in self.envs
+                pool_key(env.inference) == pool_key(self.inference) for env in self.envs
             )
-
-    @staticmethod
-    def _equivalent_inference(a: InferenceAlgorithm, b: InferenceAlgorithm) -> bool:
-        """True when two algorithms are interchangeable for the quality check.
-
-        Environments built from one config carry separately seeded instances
-        of the same solver; those batch fine (the batched solver uses one
-        initialisation anyway).  Different types or hyper-parameters do not.
-        """
-        if a is b:
-            return True
-        if type(a) is not type(b):
-            return False
-        solver_params = ("rank", "regularization", "temporal_weight", "iterations")
-        return all(
-            getattr(a, name, None) == getattr(b, name, None) for name in solver_params
-        )
 
     def step_many(self, indexed_actions: Sequence[Tuple[int, int]]) -> List[StepResult]:
         if not self._batched:

@@ -38,8 +38,9 @@ from repro.serve.batcher import (
 from repro.serve.cache import (
     CachingInference,
     CompletionCache,
-    inference_fingerprint,
+    config_key,
     matrix_fingerprint,
+    pool_key,
 )
 from repro.serve.checkpoint import ServerCheckpoint
 from repro.serve.journal import (
@@ -76,11 +77,12 @@ __all__ = [
     "ServerStats",
     "TenantStats",
     "TickClock",
+    "config_key",
     "diff_journals",
     "drive",
     "drive_rounds",
-    "inference_fingerprint",
     "matrix_fingerprint",
+    "pool_key",
     "replay_journal",
     "weights_fingerprint",
 ]

@@ -22,20 +22,22 @@ batch carrying the same matrix K times solves it once.
 Keys are content fingerprints, not object identities: the matrix fingerprint
 hashes the shape and the raw float64 bytes (the NaN mask is part of the
 bytes, so equal masks with different observed values cannot collide), and
-the inference fingerprint hashes the algorithm's type and configuration
-attributes (RNG objects excluded, arrays hashed by content).  Two
-differently-seeded but equivalently-configured ALS instances still fingerprint
-differently (``_init_seed`` is an attribute), because their completions
-*are* different — cache correctness never depends on the pooling layer's
-looser equivalence notion.
+the inference's :func:`config_key` spells out the algorithm's type and
+configuration attributes (RNG objects excluded, arrays hashed by content,
+nested components by their own key).  Two differently-seeded but
+equivalently-configured ALS instances still key differently (``_init_seed``
+is an attribute), because their completions *are* different; only
+:func:`pool_key`, which decides who may share one batched solve, drops the
+seed.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from repro.inference.als import SolverStats
 from repro.inference.base import InferenceAlgorithm
 from repro.utils.validation import check_positive_int
 
-#: Cache key: (inference fingerprint, matrix fingerprint).
+#: Cache key: (inference config key, matrix fingerprint).
 CacheKey = Tuple[str, str]
 
 
@@ -69,26 +71,68 @@ def matrix_fingerprint(matrix: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def inference_fingerprint(inference: InferenceAlgorithm) -> str:
-    """Configuration fingerprint of an inference algorithm instance.
+#: Each component's (config_key, pool_key), computed the first time it is
+#: seen: configuration is frozen after construction.  Weak keys, so a freed
+#: component's entry goes with it and a reused address inherits nothing.
+_KEYS: "weakref.WeakKeyDictionary[Any, Tuple[str, str]]" = weakref.WeakKeyDictionary()
 
-    Hashes the type and every instance attribute except RNG objects and
+
+def config_key(component: Any) -> str:
+    """The configuration identity of an inference algorithm or assessor.
+
+    The type plus every instance attribute except RNG objects and
     :class:`~repro.inference.als.SolverStats` telemetry (neither changes
-    what the algorithm computes); array attributes (e.g. KNN coordinates)
-    are hashed by content.  Instances with equal configuration therefore
-    share completions, while any attribute difference — including a frozen
-    initialisation seed — keeps them apart.
+    what the component computes).  Arrays (KNN coordinates, oracle ground
+    truth) are keyed by content, nested components (a committee and its
+    members) by their own key, never by an address-bearing ``repr``.
+    Instances with equal configuration therefore share cached completions,
+    while any attribute difference — including a frozen initialisation
+    seed — keeps them apart.
     """
-    parts = [f"{type(inference).__module__}.{type(inference).__qualname__}"]
-    for key in sorted(vars(inference)):
-        value = vars(inference)[key]
+    keys = _KEYS.get(component)
+    if keys is not None:
+        return keys[0]
+    kind = f"{type(component).__module__}.{type(component).__qualname__}"
+    shared = getattr(type(component), "batch_shared", ())
+    parts, pooled = [kind], [kind]
+    for key in sorted(vars(component)):
+        value = vars(component)[key]
         if isinstance(value, (np.random.Generator, SolverStats)):
             continue
-        if isinstance(value, np.ndarray):
-            parts.append(f"{key}={matrix_fingerprint(value)}")
-        else:
-            parts.append(f"{key}={value!r}")
-    return "|".join(parts)
+        parts.append(f"{key}={_render(value)}")
+        if key not in shared:
+            pooled.append(parts[-1])
+    keys = ("|".join(parts), "|".join(pooled))
+    _KEYS[component] = keys
+    return keys[0]
+
+
+def pool_key(component: Any) -> str:
+    """:func:`config_key` minus the class's ``batch_shared`` attributes.
+
+    Components with equal pool keys answer a pooled ``assess_many`` or
+    ``complete_batch`` call interchangeably.  Only
+    :class:`~repro.inference.compressive.CompressiveSensingInference`
+    declares ``batch_shared``: its ``_init_seed``, because a batched solve
+    starts every slot from the lead's factors.
+    """
+    config_key(component)
+    return _KEYS[component][1]
+
+
+def _render(value: Any) -> str:
+    """One attribute value as it appears in a :func:`config_key`."""
+    if isinstance(value, np.ndarray):
+        return matrix_fingerprint(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_render(item) for item in value) + "]"
+    # A bare ``InferenceAlgorithm`` repr names only the class, and the
+    # default ``object`` repr is an address a freed instance hands on.
+    if isinstance(value, InferenceAlgorithm) or (
+        type(value).__repr__ is object.__repr__ and hasattr(value, "__dict__")
+    ):
+        return f"<{config_key(value)}>"
+    return repr(value)
 
 
 class CompletionCache:
@@ -220,12 +264,10 @@ class CachingInference(InferenceAlgorithm):
         self.inner = inner
         self.cache = cache
         self.name = getattr(inner, "name", "inference")
-        # The configuration fingerprint is frozen at wrap time; the built-in
-        # algorithms never mutate their configuration after construction.
-        self._inner_fingerprint = inference_fingerprint(inner)
+        self._inner_key = config_key(inner)
 
     def _key(self, matrix: np.ndarray) -> CacheKey:
-        return (self._inner_fingerprint, matrix_fingerprint(matrix))
+        return (self._inner_key, matrix_fingerprint(matrix))
 
     @property
     def supports_batch_completion(self) -> bool:

@@ -14,7 +14,7 @@ class NarrowlyPrintedInference(InferenceAlgorithm):
         self.backend = str(backend)
 
 
-def inference_fingerprint(inference):
+def config_key(inference):
     # Explicit key list that omits `backend`: two differently-backed
     # instances would share cached completions.
     parts = [type(inference).__name__]

@@ -13,7 +13,7 @@ class CleanInference(InferenceAlgorithm):
         self.solver_stats = SolverStats()
 
 
-def inference_fingerprint(inference):
+def config_key(inference):
     # Generic vars() loop exempting only the known non-semantic types and
     # telemetry attribute: always complete by construction.
     parts = [type(inference).__name__]

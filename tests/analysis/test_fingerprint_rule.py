@@ -1,9 +1,10 @@
 """The acceptance-criterion tests for ``fingerprint-completeness``.
 
-The headline guarantee: deleting *any* key from an ``inference_fingerprint``
+The headline guarantee: deleting *any* key from a ``config_key``
 implementation — whether the explicit key-list style or a skip added to the
 real generic ``vars()`` loop in ``repro/serve/cache.py`` — makes the rule
-fail.  These tests build tiny single-file projects in ``tmp_path`` (and a
+fail, and so does a ``batch_shared`` pooling exemption for anything but
+seed-derived state.  These tests build tiny single-file projects in ``tmp_path`` (and a
 mutated copy of the real cache module) and run the rule directly.
 """
 
@@ -28,7 +29,7 @@ class TinyInference(InferenceAlgorithm):
         self.backend = backend
 
 
-def inference_fingerprint(inference):
+def config_key(inference):
     parts = []
     for key in ({keys}):
         parts.append(key + "=" + repr(getattr(inference, key)))
@@ -71,7 +72,7 @@ def test_real_cache_fingerprint_with_skipped_key_fails(tmp_path):
     """Adding a semantic-key skip to the live vars() loop is caught."""
     original = (REPO_ROOT / "src/repro/serve/cache.py").read_text(encoding="utf-8")
     anchor = "        if isinstance(value, (np.random.Generator, SolverStats)):"
-    assert anchor in original, "cache.py fingerprint loop changed; update this test"
+    assert anchor in original, "cache.py config_key loop changed; update this test"
     mutated = original.replace(
         anchor,
         '        if key == "backend":\n            continue\n' + anchor,
@@ -96,7 +97,7 @@ def test_real_cache_fingerprint_passes_unmutated(tmp_path):
 
 def test_unauditable_fingerprint_is_itself_a_finding(tmp_path):
     text = (
-        "def inference_fingerprint(inference):\n"
+        "def config_key(inference):\n"
         "    return repr(inference)\n"
     )
     report = run_on(tmp_path, text)
@@ -104,35 +105,39 @@ def test_unauditable_fingerprint_is_itself_a_finding(tmp_path):
     assert "not statically auditable" in report.active[0].message
 
 
-def test_solver_params_must_cover_pooled_attrs(tmp_path):
-    """A batch-pooled class attribute missing from solver_params is caught."""
-    text = (
-        "class CompressiveSensingInference(InferenceAlgorithm):\n"
-        "    def __init__(self, rank, backend):\n"
-        "        self.rank = rank\n"
-        "        self.backend = backend\n"
-        "\n"
-        "\n"
-        "def _equivalent_inference(a, b):\n"
-        '    solver_params = ("rank",)\n'
-        "    return all(getattr(a, p) == getattr(b, p) for p in solver_params)\n"
-    )
-    report = run_on(tmp_path, text)
-    assert any(
-        "solver_params omits stored `CompressiveSensingInference` attribute(s) "
-        "['backend']" in finding.message
-        for finding in report.active
-    ), [finding.format() for finding in report.active]
+BATCH_SHARED_TEMPLATE = """\
+class CompressiveSensingInference(InferenceAlgorithm):
+    batch_shared = ({names})
+
+    def __init__(self, rank, *, seed=None):
+        self.rank = int(rank)
+        self._rng = as_rng(seed)
+        self._init_seed = int(as_rng(seed).integers(0, 2**31 - 1))
+"""
 
 
-def test_skip_set_may_only_skip_covered_attrs(tmp_path):
-    text = (
-        "def _equivalent_assessor(a, b):\n"
-        '    skip = frozenset(("history_window",))\n'
-        "    return True\n"
-    )
-    report = run_on(tmp_path, text)
+def test_seed_fed_batch_shared_passes(tmp_path):
+    report = run_on(tmp_path, BATCH_SHARED_TEMPLATE.format(names='"_init_seed",'))
+    assert report.active == [], [finding.format() for finding in report.active]
+
+
+def test_batch_shared_configuration_fails(tmp_path):
+    """Exempting real configuration from pooling is caught."""
+    report = run_on(tmp_path, BATCH_SHARED_TEMPLATE.format(names='"rank",'))
     assert len(report.active) == 1
-    assert "pooling skip-set ignores attribute(s) ['history_window']" in (
-        report.active[0].message
-    )
+    assert (
+        "`CompressiveSensingInference.batch_shared` lists `rank`, fed by "
+        "constructor parameter(s) ['rank'] rather than `seed` alone"
+    ) in report.active[0].message
+
+
+def test_batch_shared_unstored_attribute_fails(tmp_path):
+    report = run_on(tmp_path, BATCH_SHARED_TEMPLATE.format(names='"_seed",'))
+    assert len(report.active) == 1
+    assert "lists `_seed`, which `__init__` never stores" in report.active[0].message
+
+
+def test_batch_shared_must_be_literal(tmp_path):
+    report = run_on(tmp_path, BATCH_SHARED_TEMPLATE.format(names="*NAMES,"))
+    assert len(report.active) == 1
+    assert "not a literal tuple of attribute names" in report.active[0].message

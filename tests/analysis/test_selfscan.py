@@ -15,7 +15,7 @@ from pathlib import Path
 from repro.analysis import analyze
 from repro.analysis.project import Project
 from repro.analysis.registry import RULES
-from repro.analysis.rules.fingerprint import _find_skip_sets, _find_solver_params
+from repro.analysis.rules.fingerprint import FINGERPRINT_EXEMPT_TYPES, _ConfigKeyImpl
 from repro.analysis.rules.imports import FUNCTION_ONLY_MODULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -74,15 +74,21 @@ def test_function_only_modules_documented():
         assert f"| `{module}` |" in doc, f"`{module}` missing from docs/analysis.md"
 
 
-def test_fingerprint_rule_finds_the_live_pooling_predicates():
-    """``fingerprint-completeness`` checks 2 and 3 pass silently when their
-    AST searches find nothing, so a moved or renamed pooling predicate would
-    blind the rule.  Pin that both searches still hit the live tree."""
+def test_fingerprint_rule_finds_the_live_config_key_walk():
+    """``fingerprint-completeness`` check 3 passes silently when no function
+    named ``config_key`` exists, so a moved or renamed key walk would blind
+    the rule.  Pin that it still finds the live generic ``vars()`` walk and
+    that the walk exempts exactly the RNG and telemetry types."""
+    import ast
+
     project = Project(REPO_ROOT, [Path("src")])
-    source, node, solver_params = _find_solver_params(project)
-    assert node is not None, "no literal solver_params tuple in src/"
-    assert {"rank", "regularization", "temporal_weight", "iterations"} <= solver_params
-    skip_sets = list(_find_skip_sets(project))
-    assert skip_sets, "no campaign-level pooling skip-set in src/"
-    for _, _, skip in skip_sets:
-        assert "_init_seed" in skip
+    walks = [
+        _ConfigKeyImpl(source, node)
+        for source in project.files
+        for node in ast.walk(source.tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "config_key"
+    ]
+    assert [walk.source.rel_path for walk in walks] == ["src/repro/serve/cache.py"]
+    assert walks[0].generic
+    assert walks[0].exempt_type_names == FINGERPRINT_EXEMPT_TYPES
+    assert walks[0].skipped_keys == set()

@@ -10,7 +10,7 @@ Three guarantees are pinned here:
   6000 × 96, and rows and columns with no observation.
 * **No knobs** — every solve runs its full sweep budget, densely; the
   ``backend`` metrics label is a class attribute, outside the configuration
-  that fingerprints and pooling compare.
+  key that the cache and pooling compare.
 """
 
 import numpy as np
@@ -19,8 +19,7 @@ import pytest
 from repro.inference import als
 from repro.inference.als import bucket_rows
 from repro.inference.compressive import CompressiveSensingInference
-from repro.mcs.vector import BatchedSparseMCSVectorEnv
-from repro.serve.cache import inference_fingerprint
+from repro.serve.cache import config_key, pool_key
 
 from tests.conftest import mask_entries
 from tests.inference.als_reference import reference_solve
@@ -152,13 +151,13 @@ class TestBackendIsolation:
 
     def test_fingerprint_ignores_solver_stats(self, golden):
         inference = make_inference()
-        before = inference_fingerprint(inference)
         inference.complete(golden["observed"])  # mutates the stats counters
-        assert inference_fingerprint(inference) == before
+        fresh = make_inference()
+        assert config_key(inference) == config_key(fresh)
 
     def test_backend_label_is_not_configuration(self):
-        fingerprint = inference_fingerprint(make_inference())
-        assert "backend" not in fingerprint and "tolerance" not in fingerprint
-        eq = BatchedSparseMCSVectorEnv._equivalent_inference
-        assert eq(make_inference(), make_inference(seed=99))  # seed only: pools
-        assert not eq(make_inference(), make_inference(temporal_weight=0.3))
+        key = config_key(make_inference())
+        assert "backend" not in key and "tolerance" not in key
+        # seed only: pools
+        assert pool_key(make_inference()) == pool_key(make_inference(seed=99))
+        assert pool_key(make_inference()) != pool_key(make_inference(temporal_weight=0.3))

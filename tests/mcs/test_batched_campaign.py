@@ -189,54 +189,49 @@ class TestWindowMismatchGuard:
 
 
 class TestEquivalencePooling:
-    """Pooling groups by component *equivalence*, not identity (PR 3)."""
+    """Pooling groups by component ``pool_key``, not identity."""
 
     def test_equivalent_distinct_instances_pool(self):
-        from repro.mcs.campaign import _equivalent_assessor, _equivalent_inference
+        from repro.serve.cache import pool_key
 
-        assert _equivalent_inference(
-            CompressiveSensingInference(iterations=6, seed=0),
-            CompressiveSensingInference(iterations=6, seed=99),  # seed ignored
+        assert pool_key(CompressiveSensingInference(iterations=6, seed=0)) == pool_key(
+            CompressiveSensingInference(iterations=6, seed=99)  # seed ignored
         )
-        assert _equivalent_inference(SpatialMeanInference(), SpatialMeanInference())
-        assert _equivalent_assessor(
-            LeaveOneOutBayesianAssessor(min_observations=2, max_loo_cells=12),
-            LeaveOneOutBayesianAssessor(min_observations=2, max_loo_cells=12),
-        )
+        assert pool_key(SpatialMeanInference()) == pool_key(SpatialMeanInference())
+        assert pool_key(
+            LeaveOneOutBayesianAssessor(min_observations=2, max_loo_cells=12)
+        ) == pool_key(LeaveOneOutBayesianAssessor(min_observations=2, max_loo_cells=12))
 
     def test_differently_configured_instances_do_not_pool(self):
         from repro.inference.knn import KNNInference
         from repro.inference.svt import SVTInference
-        from repro.mcs.campaign import _equivalent_assessor, _equivalent_inference
+        from repro.serve.cache import pool_key
 
-        assert not _equivalent_inference(
-            CompressiveSensingInference(iterations=6), CompressiveSensingInference(iterations=9)
+        assert pool_key(CompressiveSensingInference(iterations=6)) != pool_key(
+            CompressiveSensingInference(iterations=9)
         )
         # Non-ALS hyper-parameters must be compared too, not just the ALS ones.
-        assert not _equivalent_inference(KNNInference(k=2), KNNInference(k=7))
-        assert not _equivalent_inference(
-            SVTInference(threshold=0.1), SVTInference(threshold=5.0)
-        )
+        assert pool_key(KNNInference(k=2)) != pool_key(KNNInference(k=7))
+        assert pool_key(SVTInference(threshold=0.1)) != pool_key(SVTInference(threshold=5.0))
         coordinates = np.arange(16, dtype=float).reshape(8, 2)
-        assert not _equivalent_inference(
-            KNNInference(coordinates=coordinates), KNNInference(coordinates=coordinates + 1)
+        assert pool_key(KNNInference(coordinates=coordinates)) != pool_key(
+            KNNInference(coordinates=coordinates + 1)
         )
-        assert not _equivalent_inference(SpatialMeanInference(), SVTInference())
-        assert not _equivalent_assessor(
-            LeaveOneOutBayesianAssessor(max_loo_cells=4),
-            LeaveOneOutBayesianAssessor(max_loo_cells=12),
+        assert pool_key(SpatialMeanInference()) != pool_key(SVTInference())
+        assert pool_key(LeaveOneOutBayesianAssessor(max_loo_cells=4)) != pool_key(
+            LeaveOneOutBayesianAssessor(max_loo_cells=12)
         )
 
     def test_oracle_assessors_pool_only_on_equal_ground_truth(
         self, tiny_temperature_dataset
     ):
-        from repro.mcs.campaign import _equivalent_assessor
+        from repro.serve.cache import pool_key
 
         same_a = OracleAssessor(tiny_temperature_dataset.data)
         same_b = OracleAssessor(tiny_temperature_dataset.data.copy())
         other = OracleAssessor(tiny_temperature_dataset.data + 1.0)
-        assert _equivalent_assessor(same_a, same_b)
-        assert not _equivalent_assessor(same_a, other)
+        assert pool_key(same_a) == pool_key(same_b)
+        assert pool_key(same_a) != pool_key(other)
 
     def test_equivalent_task_instances_match_shared_task_campaign(
         self, tiny_temperature_dataset

@@ -114,3 +114,16 @@ class TestBatchedSparseMCSVectorEnv:
             (p_result,) = plain.step_many([(0, action)])
             assert b_result[3]["cycle"] == p_result[3]["cycle"]
             assert b_result[3]["n_selected"] == p_result[3]["n_selected"]
+
+    def test_batches_only_on_one_pool_key(self, tiny_temperature_dataset):
+        """Separately seeded instances of one solver batch; a different
+        solver configuration falls back to per-environment stepping."""
+        seeded = [make_mcs_env(tiny_temperature_dataset, seed=i) for i in range(3)]
+        assert BatchedSparseMCSVectorEnv(seeded)._batched
+        mixed = seeded[:2] + [
+            make_mcs_env(
+                tiny_temperature_dataset,
+                inference=CompressiveSensingInference(rank=3, iterations=4, seed=2),
+            )
+        ]
+        assert not BatchedSparseMCSVectorEnv(mixed)._batched

@@ -8,7 +8,7 @@ from repro.inference.compressive import CompressiveSensingInference
 from repro.serve.cache import (
     CachingInference,
     CompletionCache,
-    inference_fingerprint,
+    config_key,
     matrix_fingerprint,
 )
 
@@ -97,14 +97,14 @@ class TestFingerprints:
     def test_inference_fingerprint_tracks_configuration(self):
         a = CompressiveSensingInference(rank=3, iterations=5, seed=0)
         b = CompressiveSensingInference(rank=4, iterations=5, seed=0)
-        assert inference_fingerprint(a) != inference_fingerprint(b)
+        assert config_key(a) != config_key(b)
 
     def test_inference_fingerprint_tracks_init_seed(self):
         # Equivalent hyper-parameters but different frozen init seeds produce
         # different completions, so they must not share cache entries.
         a = CompressiveSensingInference(rank=3, iterations=5, seed=0)
         b = CompressiveSensingInference(rank=3, iterations=5, seed=1)
-        assert inference_fingerprint(a) != inference_fingerprint(b)
+        assert config_key(a) != config_key(b)
 
     def test_inference_fingerprint_ignores_rng_objects(self):
         class WithRng(CountingInference):
@@ -112,7 +112,7 @@ class TestFingerprints:
                 super().__init__()
                 self._rng = np.random.default_rng(seed)
 
-        assert inference_fingerprint(WithRng(0)) == inference_fingerprint(WithRng(1))
+        assert config_key(WithRng(0)) == config_key(WithRng(1))
 
 
 class TestCompletionCache:
@@ -286,3 +286,56 @@ class TestBatchCompositionContract:
                 # ... so the hit is the padded solve, not the bytes of a solve alone.
                 alone = als.complete_batch([a])[0]
                 np.testing.assert_allclose(hit, alone, rtol=self.PADDED_RTOL, atol=0.0)
+
+
+class TestCommitteeKeys:
+    """A committee is keyed by its members' configuration, not its address.
+
+    Each committee below is freed before the next is built, so CPython hands
+    the next one a just-freed address.  A key that spelled out the nested
+    committee's ``repr`` (its address) made differently configured
+    committees collide, and a shared cache then served one committee's
+    completion to another.
+    """
+
+    @staticmethod
+    def committee(k):
+        from repro.inference.committee import CommitteeMeanInference, InferenceCommittee
+        from repro.inference.interpolation import SpatialMeanInference
+        from repro.inference.knn import KNNInference
+
+        return CommitteeMeanInference(
+            InferenceCommittee([KNNInference(k=k), SpatialMeanInference()])
+        )
+
+    def test_freed_committees_never_share_a_key(self):
+        seen = {}
+        for round_ in range(28):
+            k = round_ % 7 + 1
+            key = config_key(self.committee(k))
+            assert seen.setdefault(key, k) == k, f"k={k} keyed like k={seen[key]}"
+        assert len(seen) == 7
+
+    def test_shared_cache_never_serves_another_committees_completion(self):
+        matrix = partial_matrix(seed=3, shape=(9, 5), density=0.5)
+        expected = {k: self.committee(k).complete(matrix) for k in range(1, 8)}
+        assert len({result.tobytes() for result in expected.values()}) > 1
+        cache = CompletionCache(capacity=64)
+        for round_ in range(4):
+            for k in range(1, 8):
+                result = CachingInference(self.committee(k), cache).complete(matrix)
+                assert np.array_equal(result, expected[k]), f"k={k}, round {round_}"
+        assert len(cache) == 7
+
+    def test_equally_configured_committees_share_a_key_and_hit(self):
+        from repro.serve.cache import pool_key
+
+        a, b = self.committee(3), self.committee(3)
+        assert config_key(a) == config_key(b)
+        assert pool_key(a) == pool_key(b)
+        matrix = partial_matrix(seed=4)
+        cache = CompletionCache()
+        first = CachingInference(a, cache).complete(matrix)
+        second = CachingInference(b, cache).complete(matrix)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert np.array_equal(first, second)
