@@ -15,7 +15,11 @@ The library's import-time contract has four legs:
   submodule, which only the test-time LOO posterior uses and which would
   otherwise dominate the package's cold-start import) may only be imported
   inside the function that uses them, never at module level of a ``repro``
-  module;
+  module.  The ``scipy.special`` and ``scipy.stats`` packages may not be
+  imported even there: the posterior's two kernels load without them
+  (``repro.quality._scipy_kernels``), so an import of either would put
+  dozens of modules back into every serving process.  The kernel module's
+  own fallback is the one reasoned exception;
 * the explicit top-level import graph between ``repro`` modules must stay
   acyclic.  Implicit package-parent edges are normal Python and ignored;
   it is the *explicit* ``import repro.x`` edges that, once circular, make
@@ -45,6 +49,10 @@ GUARDED_MODULES = frozenset({"numba", "torch"})
 #: covers its submodules too, so ``scipy`` covers ``scipy.special``.
 FUNCTION_ONLY_MODULES = frozenset({"scipy"})
 
+#: Packages a ``repro`` module may not import at all, not even inside a
+#: function; an entry covers its submodules too.
+UNIMPORTED_PACKAGES = frozenset({"scipy.special", "scipy.stats"})
+
 
 def _is_type_checking_guard(node: ast.If) -> bool:
     test = node.test
@@ -68,8 +76,10 @@ def _handles_import_error(node: ast.Try) -> bool:
     return False
 
 
-def _function_only_import(node: ast.AST, imported: str) -> Optional[str]:
-    """The function-only module this import loads, if any.
+def _covered_import(
+    node: ast.AST, imported: str, modules: frozenset
+) -> Optional[Tuple[str, str]]:
+    """The most specific name this import loads that ``modules`` covers, and its entry.
 
     ``from scipy import stats`` names the module through the imported
     alias, so ``from`` imports are checked as ``module.alias`` first and the
@@ -79,10 +89,22 @@ def _function_only_import(node: ast.AST, imported: str) -> Optional[str]:
     if isinstance(node, ast.ImportFrom):
         candidates = [f"{imported}.{alias.name}" for alias in node.names] + candidates
     for candidate in candidates:
-        for module in FUNCTION_ONLY_MODULES:
+        for module in modules:
             if candidate == module or candidate.startswith(module + "."):
-                return candidate
+                return candidate, module
     return None
+
+
+def _nested_imports(tree: ast.Module, top_level: Set[int]) -> Iterator[Tuple[ast.AST, str]]:
+    """Yield ``(node, module)`` for the absolute imports not in ``top_level``."""
+    for node in ast.walk(tree):
+        if id(node) in top_level:
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node, node.module
 
 
 def _top_level_imports(
@@ -124,8 +146,9 @@ class LazyImportHygieneRule(AnalysisRule):
     id = "lazy-import-hygiene"
     description = (
         "repro.api facade imports only the registry eagerly, numba/torch stay behind "
-        "ImportError guards, scipy is imported only inside functions, and the "
-        "explicit top-level import graph is acyclic"
+        "ImportError guards, scipy is imported only inside functions and "
+        "scipy.special/scipy.stats not at all, and the explicit top-level import "
+        "graph is acyclic"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -152,7 +175,9 @@ class LazyImportHygieneRule(AnalysisRule):
         module = source.module_name
         in_repro = module is not None
 
+        top_level: Set[int] = set()
         for node, imported, guarded, type_checking in _top_level_imports(source.tree):
+            top_level.add(id(node))
             if type_checking:
                 continue  # never executed at runtime
             root = imported.split(".")[0]
@@ -163,12 +188,12 @@ class LazyImportHygieneRule(AnalysisRule):
                     f"eager top-level import of optional dependency `{root}`; wrap "
                     "it in try/except ImportError so the library imports without it",
                 )
-            lazy_only = _function_only_import(node, imported) if in_repro else None
+            lazy_only = _covered_import(node, imported, FUNCTION_ONLY_MODULES) if in_repro else None
             if lazy_only is not None:
                 yield source.finding(
                     self.id,
                     node,
-                    f"module-level import of `{lazy_only}`; import it inside the "
+                    f"module-level import of `{lazy_only[0]}`; import it inside the "
                     "function that needs it so importing the package stays cheap",
                 )
             if is_facade and imported not in API_FACADE_ALLOWED:
@@ -183,6 +208,18 @@ class LazyImportHygieneRule(AnalysisRule):
                 target = self._resolve_project_module(imported, modules)
                 if target is not None and target != module:
                     edges.setdefault(module, []).append((target, source, node))
+
+        if not in_repro:
+            return
+        for node, imported in _nested_imports(source.tree, top_level):
+            banned = _covered_import(node, imported, UNIMPORTED_PACKAGES)
+            if banned is not None:
+                yield source.finding(
+                    self.id,
+                    node,
+                    f"function-level import of `{banned[1]}` loads the whole package; "
+                    "call the standalone kernels in repro.quality._scipy_kernels",
+                )
 
     @staticmethod
     def _resolve_project_module(

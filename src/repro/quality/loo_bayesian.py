@@ -42,6 +42,7 @@ import numpy as np
 from repro.api.registry import ASSESSORS
 from repro.inference.base import InferenceAlgorithm
 from repro.obs.profile import phase
+from repro.quality._scipy_kernels import kernels
 from repro.quality.epsilon_p import QualityRequirement
 from repro.utils.seeding import RngLike, as_rng
 from repro.utils.validation import check_positive_int
@@ -437,11 +438,8 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         if not spread.any():
             return posteriors
         t_stats = (epsilons[spread] - means[spread]) / standard_errors[spread]
-        # Imported here so only processes that assess load SciPy (training
-        # uses the oracle).  ``stats.t.cdf`` calls the same ``stdtr`` ufunc.
-        from scipy import special
-
-        posteriors[spread] = special.stdtr(n - 1, t_stats)
+        # ``stats.t.cdf`` calls the same compiled t CDF.
+        posteriors[spread] = kernels().stdtr(n - 1, t_stats)
         return posteriors
 
     @staticmethod
@@ -488,15 +486,13 @@ def _betabinom_cdf(k: int, n: int, alpha: float, beta: float) -> float:
     """
     if k >= n:
         return 1.0
-    # Imported here so only processes that assess load SciPy.
-    from scipy import special
-
+    betaln = kernels().betaln
     m = np.arange(k + 1, dtype=float)
     log_pmf = (
         -np.log(n + 1.0)
-        - special.betaln(n - m + 1, m + 1)
-        + special.betaln(m + alpha, n - m + beta)
-        - special.betaln(alpha, beta)
+        - betaln(n - m + 1, m + 1)
+        + betaln(m + alpha, n - m + beta)
+        - betaln(alpha, beta)
     )
     return float(np.clip(np.exp(log_pmf).sum(), 0.0, 1.0))
 

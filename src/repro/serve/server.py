@@ -293,12 +293,11 @@ class DecisionServer:
         """Queue a quality assessment; resolves to a bool verdict.
 
         Raises ``ValueError`` here, before queueing, when ``observed`` is not
-        a 2-D matrix or ``cycle`` is not one of its columns: a request that
-        cannot be answered must not fail the requests pooled with it.
+        a 2-D matrix, contains ±inf or ``cycle`` is not one of its columns: a
+        request that cannot be answered must not fail the requests pooled
+        with it.
         """
-        shape = np.shape(observed)
-        if len(shape) != 2:
-            raise ValueError(f"observed must be a 2-D matrix, got shape {shape}")
+        shape = check_matrix(observed, "observed").shape
         if not 0 <= cycle < shape[1]:
             raise ValueError(f"cycle {cycle} out of range for {shape[1]} cycles")
         payload = AssessQuery(

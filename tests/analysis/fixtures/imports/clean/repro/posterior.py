@@ -1,13 +1,14 @@
 """Known-clean function-level imports of function-only modules (never imported)."""
 
 
+def solve(a, b):
+    from scipy import linalg
+
+    return linalg.solve(a, b)
+
+
 def cdf(x, df):
+    # repro: allow[lazy-import-hygiene] fixture: a reasoned fallback
     from scipy import special
 
     return special.stdtr(df, x)
-
-
-def betabinom_cdf(k, n, a, b):
-    from scipy import stats
-
-    return stats.betabinom(n, a, b).cdf(k)

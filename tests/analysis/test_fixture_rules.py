@@ -54,8 +54,10 @@ CASES = {
             "repro.api facade eagerly imports `repro.api.session`",
             "module-level import of `scipy.stats`",
             "module-level import of `scipy.special`",
+            "function-level import of `scipy.special` loads the whole package",
+            "function-level import of `scipy.stats` loads the whole package",
         ],
-        6,
+        9,
     ),
     "suppression-hygiene": (
         "suppression",
@@ -86,6 +88,26 @@ def test_rule_quiet_on_clean_fixture(run_fixture, rule_id):
     subdir, _, _ = CASES[rule_id]
     report = run_fixture(f"{subdir}/clean", [rule_id])
     assert report.active == [], [finding.format() for finding in report.active]
+
+
+def test_unimported_packages_fire_at_function_level_only_once(run_fixture):
+    """Each function-level import of ``scipy.special``/``scipy.stats`` is one
+    finding naming the package, while a function-level ``scipy.linalg``
+    import and a reasoned fallback import stay quiet."""
+    bad = run_fixture("imports/bad", ["lazy-import-hygiene"])
+    nested = [f for f in bad.active if f.message.startswith("function-level")]
+    assert [(f.path, f.line) for f in nested] == [
+        ("repro/serving.py", 5),
+        ("repro/serving.py", 11),
+        ("repro/serving.py", 17),
+    ]
+    assert [f.message.split("`")[1] for f in nested] == [
+        "scipy.special",
+        "scipy.special",
+        "scipy.stats",
+    ]
+    clean = run_fixture("imports/clean", ["lazy-import-hygiene"])
+    assert [(f.path, f.line) for f in clean.suppressed] == [("repro/posterior.py", 12)]
 
 
 def test_findings_carry_locations(run_fixture):

@@ -57,6 +57,15 @@ def test_fixture_snippets_are_excluded_from_discovery():
     )
 
 
+def test_kernel_fallback_is_the_only_scipy_package_import():
+    """``scipy.special``/``scipy.stats`` load nowhere in the library but in
+    the reasoned fallback of the standalone posterior kernels."""
+    report = analyze(["src"], root=REPO_ROOT, rule_ids=["lazy-import-hygiene"])
+    assert [finding.path for finding in report.suppressed] == [
+        "src/repro/quality/_scipy_kernels.py"
+    ]
+
+
 def test_rule_catalogue_documented():
     """Every registered rule id appears in docs/analysis.md (and vice versa
     the doc's rule table is linted by registry-spec-drift), so the docs and

@@ -7,17 +7,25 @@ These tests pin that the two agree to the last bit over the degrees of
 freedom the assessor can produce (``max_loo_cells`` up to 12 gives df 1-11),
 and that the row-wise posterior of a pooled call gives every slot the bytes
 of its one-row posterior.
+
+Serving processes call the t CDF and ``betaln`` through
+``repro.quality._scipy_kernels``, loaded without the ``scipy.special``
+package; the last tests pin those kernels to ``scipy.special``'s bytes and
+check that a failed standalone load falls back to the package.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from repro.inference.base import InferenceAlgorithm
+from repro.quality import _scipy_kernels
 from repro.quality.epsilon_p import QualityRequirement
-from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
+from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor, _betabinom_cdf
 
 def t_grid():
     """A uniform grid, the extremes, values at and near zero, and random draws."""
@@ -172,3 +180,105 @@ def test_pooled_call_with_mixed_n_and_epsilon_matches_one_row():
     ]
     assert np.array(pooled).tobytes() == np.array(expected).tobytes()
     assert len(set(pooled)) > 4
+
+
+# -- the standalone kernels -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def standalone():
+    """The kernels as a process without ``scipy.special`` loads them."""
+    return _scipy_kernels.load_standalone()
+
+
+def test_standalone_kernels_load_exactly_when_scipy_exports_them():
+    """Checked against SciPy's own tables, so a SciPy that moved a kernel
+    fails here instead of falling back silently."""
+    from scipy.special import _special_ufuncs, _ufuncs_cxx
+
+    exported = "_export_t_cdf_double" in getattr(_ufuncs_cxx, "__pyx_capi__", {}) and isinstance(
+        getattr(_special_ufuncs, "betaln", None), np.ufunc
+    )
+    try:
+        kernels = _scipy_kernels.load_standalone()
+    except Exception:
+        kernels = None
+    assert (kernels is not None) == exported
+    assert kernels is None or kernels.standalone
+
+
+@pytest.mark.parametrize("df", range(1, 64))
+def test_standalone_t_cdf_is_stdtr_bytewise(standalone, df):
+    grid = t_grid()
+    assert standalone.stdtr(df, grid).tobytes() == special.stdtr(df, grid).tobytes()
+
+
+def betabinom_betaln_arguments():
+    """Every ``betaln`` argument pair ``_betabinom_cdf`` forms for LOO sample
+    sizes n ≤ 12 (any number of misses) and up to 60 unsensed cells."""
+    firsts, seconds = [], []
+    for n in range(1, 13):
+        for misses in range(n + 1):
+            alpha, beta = 0.5 + misses, 0.5 + (n - misses)
+            for n_unsensed in range(1, 61):
+                m = np.arange(n_unsensed, dtype=float)  # every k < n_unsensed
+                firsts += [n_unsensed - m + 1, m + alpha, [alpha]]
+                seconds += [m + 1, n_unsensed - m + beta, [beta]]
+    pairs = np.unique(np.column_stack([np.concatenate(firsts), np.concatenate(seconds)]), axis=0)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def test_standalone_betaln_is_special_betaln_bytewise(standalone):
+    a, b = betabinom_betaln_arguments()
+    assert a.size > 4_000
+    assert standalone.betaln(a, b).tobytes() == special.betaln(a, b).tobytes()
+
+
+def posterior_bytes():
+    """Continuous and classification posteriors through whichever kernels load."""
+    rng = np.random.default_rng(3)
+    loo_errors = np.abs(rng.standard_normal((40, 6))) * rng.uniform(0.05, 2.0, (40, 1))
+    continuous = LeaveOneOutBayesianAssessor._continuous_posteriors(
+        loo_errors, rng.choice([0.3, 0.8, 1.5], 40), rng.integers(1, 50, 40)
+    )
+    classification = [
+        _betabinom_cdf(k, n_unsensed, 0.5 + misses, 0.5 + 8 - misses)
+        for k, n_unsensed, misses in [(0, 5, 0), (2, 9, 3), (4, 40, 1), (11, 60, 8)]
+    ]
+    return continuous.tobytes() + np.array(classification).tobytes()
+
+
+def test_posteriors_are_the_same_bytes_through_standalone_kernels(monkeypatch, standalone):
+    package = _scipy_kernels.Kernels(special.stdtr, special.betaln, standalone=False)
+    monkeypatch.setattr(_scipy_kernels, "_KERNELS", package)
+    expected = posterior_bytes()
+    monkeypatch.setattr(_scipy_kernels, "_KERNELS", standalone)
+    assert posterior_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "constant, value, error",
+    [
+        ("T_CDF_MODULE", "scipy.special._no_such_extension", ImportError),
+        ("T_CDF_CAPSULE", "_export_no_such_capsule", KeyError),
+        ("CAPSULE_NAME", b"double (double, double)", ValueError),
+        ("T_CDF_PIN", (3.0, 1.0, 0.8044988905221147), ValueError),
+        ("BETALN_MODULE", "scipy.special._no_such_extension", ImportError),
+    ],
+    ids=["missing_module", "missing_capsule", "wrong_capsule_name", "wrong_pin", "missing_betaln"],
+)
+def test_failed_standalone_load_falls_back_to_the_package(monkeypatch, constant, value, error):
+    """A SciPy whose private layout moved costs memory, never bytes: with
+    the loader made to fail, ``kernels()`` answers from ``scipy.special``."""
+    expected = posterior_bytes()
+    monkeypatch.setattr(_scipy_kernels, constant, value)
+    with pytest.raises(error):
+        _scipy_kernels.load_standalone()
+    # As in a process that has not imported the package: a fresh load that
+    # tries the standalone kernels first.
+    monkeypatch.setattr(_scipy_kernels, "_KERNELS", None)
+    monkeypatch.delitem(sys.modules, "scipy.special")
+    kernels = _scipy_kernels.kernels()
+    assert not kernels.standalone
+    assert kernels.stdtr is special.stdtr and kernels.betaln is special.betaln
+    assert posterior_bytes() == expected

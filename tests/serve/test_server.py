@@ -266,6 +266,41 @@ class TestPoisonedRequests:
 
         assert serve(poisoned=True) == serve(poisoned=False)
 
+    @pytest.mark.parametrize("infinity", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_infinite_observation_fails_alone(self, infinity):
+        """An assessment with one ±inf observed value is refused before it
+        can pool: its neighbours resolve to their verdicts, streams and
+        cache traffic as if it had never been sent (queued, it failed them
+        under ``-W error`` and answered them with warnings otherwise)."""
+        requirement = QualityRequirement(epsilon=0.6, p=0.8, metric="mae")
+        poison = partial_window(seed=4)
+        poison[np.flatnonzero(~np.isnan(poison[:, -1]))[0], -1] = infinity
+
+        def serve(poisoned):
+            inference = CompressiveSensingInference(rank=2, iterations=4, seed=0)
+            assessors = [
+                LeaveOneOutBayesianAssessor(
+                    min_observations=2, max_loo_cells=3, history_window=5,
+                    rng=np.random.default_rng(seed),
+                )
+                for seed in (0, 1, 2)
+            ]
+            server = DecisionServer()
+            futures = [
+                server.assess_quality(assessors[0], inference, partial_window(seed=3), 4, requirement)
+            ]
+            if poisoned:
+                with pytest.raises(ValueError, match="infinite"):
+                    server.assess_quality(assessors[1], inference, poison, 4, requirement)
+            futures.append(
+                server.assess_quality(assessors[2], inference, partial_window(seed=5), 4, requirement)
+            )
+            server.flush()
+            streams = [assessor.rng.bit_generator.state for assessor in assessors]
+            return [future.result() for future in futures], streams, server.cache.hits
+
+        assert serve(poisoned=True) == serve(poisoned=False)
+
     @pytest.mark.parametrize(
         "poison, message",
         [
