@@ -77,7 +77,7 @@ def _fleet(n_campaigns: int, n_cycles: int, obs):
     )
     server = DecisionServer(ServeConfig(max_batch=64, max_wait_ticks=1))
     if obs is not None and obs.tracer is not None:
-        server.attach_tracer(obs.tracer)
+        server.subscribe(obs.tracer)
     runners = [
         ServedCampaignRunner([task], config, server=server) for task, _ in campaigns
     ]

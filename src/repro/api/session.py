@@ -408,7 +408,7 @@ class Session:
             an uninterrupted one.
         obs:
             A :class:`repro.obs.Observability` bundle.  Its tracer (if
-            enabled) is attached to the server before any request is
+            enabled) is subscribed to the server before any request is
             submitted, its profiler is active while the drive runs, its
             registry is refreshed from live server stats every
             ``obs.snapshot_every`` cycle barriers (the drive's quiescent
@@ -468,10 +468,10 @@ class Session:
             check_positive_int(checkpoint_after, "checkpoint_after")
         serve_knobs = self._serve_knobs(server, n_cycles=n_cycles, replicas=replicas)
         if journal is not None:
-            server.attach_journal(journal)
+            server.subscribe(journal)
             journal.record_header(scenario=self.spec.to_dict(), serve=serve_knobs)
         if obs is not None and obs.tracer is not None:
-            server.attach_tracer(obs.tracer)
+            server.subscribe(obs.tracer)
         launches = self._serve_launches(
             server,
             self.campaign_config(),
@@ -536,7 +536,7 @@ class Session:
             )
         )
         if journal is not None:
-            server.attach_journal(journal)
+            server.subscribe(journal)
         launches = self._serve_launches(
             server,
             self.campaign_config(),

@@ -10,7 +10,7 @@ Q-learning loop, and a :class:`TrainingReport` of what happened.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +56,16 @@ class TrainingReport:
         """Average submissions per cycle in the final episode (training-time proxy
         of the paper's headline metric)."""
         return self.episode_selections[-1] if self.episode_selections else float("nan")
+
+    def metrics(self, *, run: Optional[str] = None) -> Dict[str, object]:
+        """The canonical ``repro_train_*`` metric view of this report.
+
+        Exactly the samples :mod:`repro.obs` exports (optionally labelled
+        with a ``run`` name).
+        """
+        from repro.obs.adapters import flat_samples, ingest_training_report
+
+        return flat_samples(ingest_training_report, self, run=run)
 
 
 class DRCellTrainer:

@@ -144,13 +144,13 @@ class SolverStats:
     def metrics(self, *, backend: Optional[str] = None) -> Dict[str, object]:
         """The canonical ``repro_als_*`` metric view of these counters.
 
-        Flat sample keys identical to what :mod:`repro.obs` exports
-        (optionally carrying the ``backend`` label); :meth:`as_dict` remains
-        the backwards-compatible legacy shape.
+        Exactly the samples :mod:`repro.obs` exports (optionally carrying
+        the ``backend`` label); :meth:`as_dict` remains the
+        backwards-compatible legacy shape.
         """
-        from repro.obs.adapters import solver_stats_metrics
+        from repro.obs.adapters import flat_samples, ingest_solver_stats
 
-        return solver_stats_metrics(self, backend=backend)
+        return flat_samples(ingest_solver_stats, self, backend=backend)
 
 
 @dataclass

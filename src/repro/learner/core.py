@@ -343,13 +343,13 @@ class Learner:
     def metrics(self, *, learner: Optional[str] = None) -> Dict[str, object]:
         """The canonical ``repro_learner_*`` metric view of :meth:`telemetry`.
 
-        Flat sample keys identical to what :mod:`repro.obs` exports
-        (optionally labelled with the server-side learner id);
-        :meth:`telemetry` remains the backwards-compatible nested shape.
+        Exactly the samples :mod:`repro.obs` exports (optionally labelled
+        with the server-side learner id); :meth:`telemetry` remains the
+        backwards-compatible nested shape.
         """
-        from repro.obs.adapters import learner_metrics
+        from repro.obs.adapters import flat_samples, ingest_learner
 
-        return learner_metrics(self.telemetry(), learner=learner)
+        return flat_samples(ingest_learner, self.telemetry(), learner=learner)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

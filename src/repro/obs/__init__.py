@@ -6,8 +6,8 @@ One package, three observational instruments:
   and fixed-bucket histograms under the canonical ``repro_*`` namespaces,
   filled by the duck-typed adapters in :mod:`repro.obs.adapters`;
 * :mod:`repro.obs.trace` — a :class:`Tracer` following every served request
-  from :meth:`MicroBatcher.submit` through batch fusion to its response,
-  exported as Chrome trace-event JSON;
+  from submission through batch fusion to its response (a subscriber of
+  the decision server's event stream), exported as Chrome trace-event JSON;
 * :mod:`repro.obs.profile` — guarded :func:`phase` timers in the trainer,
   LOO, and ALS hot paths that compile to a no-op when no profiler is active.
 
@@ -30,14 +30,11 @@ from typing import Any, Dict, Iterator, Optional, Union
 from contextlib import contextmanager
 
 from repro.obs.adapters import (
+    flat_samples,
     ingest_learner,
     ingest_server_stats,
     ingest_solver_stats,
     ingest_training_report,
-    learner_metrics,
-    server_stats_metrics,
-    solver_stats_metrics,
-    training_report_metrics,
 )
 from repro.obs.export import (
     parse_prometheus,
@@ -76,10 +73,7 @@ __all__ = [
     "ingest_solver_stats",
     "ingest_learner",
     "ingest_training_report",
-    "server_stats_metrics",
-    "solver_stats_metrics",
-    "learner_metrics",
-    "training_report_metrics",
+    "flat_samples",
 ]
 
 

@@ -24,20 +24,22 @@ double-counts.  The latency histogram is rebuilt from the endpoint's
 bounded sample ring on each call — it reflects the retained window, exactly
 like the p50/p99 columns of ``ServerStats.rows()``.
 
-The ``*_metrics`` companions return the same data as a flat
-``{sample_name: value}`` dict — ``repro_serve_requests_total{endpoint="select"}``
-style keys, identical to the Prometheus sample names the exporter emits.
-These back the ``metrics()`` methods on ``ServerStats`` / ``SolverStats`` /
-``Learner``, which is where the repo's telemetry dialects converge (the
-legacy ``as_dict()`` / ``telemetry()`` shapes remain as backwards-compatible
-aliases).
+:func:`flat_samples` runs one adapter into a fresh registry and returns the
+exporter's samples as a flat ``{sample_name: value}`` dict —
+``repro_serve_requests_total{endpoint="select"}`` style keys.  It backs the
+``metrics()`` methods on ``ServerStats`` / ``SolverStats`` / ``Learner`` /
+``TrainingReport``, which is where the repo's telemetry dialects converge
+(the legacy ``as_dict()`` / ``telemetry()`` shapes remain as
+backwards-compatible aliases), so each family's mapping is written once.
+A label passed as ``None`` is left off the samples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.obs.export import parse_prometheus, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -45,21 +47,32 @@ __all__ = [
     "ingest_solver_stats",
     "ingest_learner",
     "ingest_training_report",
-    "server_stats_metrics",
-    "solver_stats_metrics",
-    "learner_metrics",
-    "training_report_metrics",
+    "flat_samples",
 ]
 
 
-def _sample_name(name: str, **labels: object) -> str:
-    """A flat Prometheus-style sample key: ``name{label="value",...}``."""
-    if not labels:
-        return name
-    rendered = ",".join(
-        f'{key}="{value}"' for key, value in sorted((k, str(v)) for k, v in labels.items())
-    )
-    return f"{name}{{{rendered}}}"
+def flat_samples(
+    ingest: Callable[..., None], source: Any, **labels: Optional[str]
+) -> Dict[str, float]:
+    """``ingest(registry, source, **labels)`` into a fresh registry; its samples.
+
+    The flat ``{sample_name: value}`` view is the exporter's own: the
+    registry is rendered as Prometheus text and parsed back, so a
+    ``metrics()`` view can never drift from what ``python -m repro.obs``
+    exports.
+    """
+    registry = MetricsRegistry()
+    ingest(registry, source, **labels)
+    return {
+        sample: value
+        for family in parse_prometheus(render_prometheus(registry)).values()
+        for sample, value in family["samples"].items()
+    }
+
+
+def _label(name: str, value: Optional[str]) -> Dict[str, str]:
+    """``{name: value}``, or no label at all when ``value`` is None."""
+    return {} if value is None else {name: value}
 
 
 # -- serve -----------------------------------------------------------------------
@@ -131,43 +144,6 @@ def ingest_server_stats(registry: MetricsRegistry, stats: Any) -> None:
         ingest_learner(registry, stats.learners[label], learner=label)
 
 
-def server_stats_metrics(stats: Any) -> Dict[str, object]:
-    """The flat ``repro_serve_*`` sample view of a :class:`ServerStats`."""
-    out: Dict[str, object] = {}
-    for kind in sorted(stats.endpoints):
-        endpoint = stats.endpoints[kind]
-        out[_sample_name("repro_serve_requests_total", endpoint=kind)] = endpoint.requests
-        out[_sample_name("repro_serve_batches_total", endpoint=kind)] = endpoint.batches
-        out[_sample_name("repro_serve_batched_requests_total", endpoint=kind)] = (
-            endpoint.batched_requests
-        )
-        out[_sample_name("repro_serve_handler_seconds_total", endpoint=kind)] = (
-            endpoint.seconds
-        )
-        if endpoint.batches:
-            out[_sample_name("repro_serve_batch_occupancy", endpoint=kind)] = (
-                endpoint.mean_batch_occupancy
-            )
-    out["repro_serve_ticks"] = stats.ticks
-    out["repro_serve_cache_hits_total"] = stats.cache_hits
-    out["repro_serve_cache_misses_total"] = stats.cache_misses
-    hit_rate = stats.cache_hit_rate
-    if not math.isnan(hit_rate):
-        out["repro_serve_cache_hit_rate"] = hit_rate
-    for label in sorted(stats.tenants):
-        tenant = stats.tenants[label]
-        out[_sample_name("repro_serve_tenant_requests_total", tenant=label)] = (
-            tenant.requests
-        )
-        out[_sample_name("repro_serve_tenant_served_total", tenant=label)] = tenant.served
-        out[_sample_name("repro_serve_tenant_starved_flushes_total", tenant=label)] = (
-            tenant.starved_flushes
-        )
-    for label in sorted(stats.learners):
-        out.update(learner_metrics(stats.learners[label], learner=label))
-    return out
-
-
 # -- ALS -------------------------------------------------------------------------
 
 _ALS_COUNTERS = {
@@ -178,22 +154,12 @@ _ALS_COUNTERS = {
 
 
 def ingest_solver_stats(
-    registry: MetricsRegistry, solver_stats: Any, *, backend: str = "numpy"
+    registry: MetricsRegistry, solver_stats: Any, *, backend: Optional[str] = "numpy"
 ) -> None:
     """Mirror a :class:`~repro.inference.als.SolverStats` into ``repro_als_*``."""
+    labels = _label("backend", backend)
     for attr, (name, help_text) in _ALS_COUNTERS.items():
-        registry.counter(name, help_text).set_total(
-            getattr(solver_stats, attr), backend=backend
-        )
-
-
-def solver_stats_metrics(solver_stats: Any, *, backend: Optional[str] = None) -> Dict[str, object]:
-    """The flat ``repro_als_*`` sample view of a :class:`SolverStats`."""
-    labels = {} if backend is None else {"backend": backend}
-    return {
-        _sample_name(name, **labels): getattr(solver_stats, attr)
-        for attr, (name, _) in _ALS_COUNTERS.items()
-    }
+        registry.counter(name, help_text).set_total(getattr(solver_stats, attr), **labels)
 
 
 # -- learner ---------------------------------------------------------------------
@@ -236,29 +202,30 @@ def ingest_learner(
     registry: MetricsRegistry,
     telemetry: Mapping[str, Any],
     *,
-    learner: str = "learner-0",
+    learner: Optional[str] = "learner-0",
 ) -> None:
     """Mirror one :meth:`Learner.telemetry` snapshot into ``repro_learner_*``.
 
     Accepts the full telemetry dict (``weights`` / ``replay`` sub-dicts are
     optional, so :attr:`ServerStats.learners` entries ingest unchanged).
     """
+    labels = _label("learner", learner)
     for key, (name, help_text) in _LEARNER_GAUGES.items():
         if key in telemetry:
-            registry.gauge(name, help_text).set(float(telemetry[key]), learner=learner)
+            registry.gauge(name, help_text).set(float(telemetry[key]), **labels)
     weights = telemetry.get("weights") or {}
     for key, (name, help_text) in _WEIGHT_GAUGES.items():
         if key in weights:
-            registry.gauge(name, help_text).set(float(weights[key]), learner=learner)
+            registry.gauge(name, help_text).set(float(weights[key]), **labels)
     replay = telemetry.get("replay") or {}
     for key, (name, help_text) in _REPLAY_GAUGES.items():
         if key in replay:
-            registry.gauge(name, help_text).set(float(replay[key]), learner=learner)
+            registry.gauge(name, help_text).set(float(replay[key]), **labels)
     if replay.get("capacity"):
         registry.gauge(
             "repro_learner_replay_occupancy",
             "Replay buffer fill fraction (size / capacity)",
-        ).set(float(replay["size"]) / float(replay["capacity"]), learner=learner)
+        ).set(float(replay["size"]) / float(replay["capacity"]), **labels)
     campaigns = replay.get("campaigns") or {}
     if campaigns:
         per_campaign = registry.gauge(
@@ -267,81 +234,33 @@ def ingest_learner(
         )
         for campaign in sorted(campaigns):
             per_campaign.set(
-                float(campaigns[campaign]["transitions"]),
-                learner=learner,
-                campaign=campaign,
+                float(campaigns[campaign]["transitions"]), campaign=campaign, **labels
             )
-
-
-def learner_metrics(
-    telemetry: Mapping[str, Any], *, learner: Optional[str] = None
-) -> Dict[str, object]:
-    """The flat ``repro_learner_*`` sample view of a telemetry snapshot."""
-    labels = {} if learner is None else {"learner": learner}
-    out: Dict[str, object] = {}
-    for key, (name, _) in _LEARNER_GAUGES.items():
-        if key in telemetry:
-            out[_sample_name(name, **labels)] = telemetry[key]
-    weights = telemetry.get("weights") or {}
-    for key, (name, _) in _WEIGHT_GAUGES.items():
-        if key in weights:
-            out[_sample_name(name, **labels)] = weights[key]
-    replay = telemetry.get("replay") or {}
-    for key, (name, _) in _REPLAY_GAUGES.items():
-        if key in replay:
-            out[_sample_name(name, **labels)] = replay[key]
-    if replay.get("capacity"):
-        out[_sample_name("repro_learner_replay_occupancy", **labels)] = float(
-            replay["size"]
-        ) / float(replay["capacity"])
-    for campaign in sorted(replay.get("campaigns") or {}):
-        out[
-            _sample_name(
-                "repro_learner_replay_campaign_transitions",
-                campaign=campaign,
-                **labels,
-            )
-        ] = replay["campaigns"][campaign]["transitions"]
-    return out
 
 
 # -- trainer ---------------------------------------------------------------------
 
 
 def ingest_training_report(
-    registry: MetricsRegistry, report: Any, *, run: str = "train"
+    registry: MetricsRegistry, report: Any, *, run: Optional[str] = "train"
 ) -> None:
     """Mirror a :class:`~repro.core.trainer.TrainingReport` into ``repro_train_*``."""
+    labels = _label("run", run)
     registry.counter(
         "repro_train_episodes_total", "Training episodes completed"
-    ).set_total(report.episodes, run=run)
+    ).set_total(report.episodes, **labels)
     registry.counter(
         "repro_train_steps_total", "Environment steps taken during training"
-    ).set_total(report.total_steps, run=run)
+    ).set_total(report.total_steps, **labels)
     registry.gauge(
         "repro_train_wall_clock_seconds", "Training wall-clock seconds"
-    ).set(report.wall_clock_seconds, run=run)
+    ).set(report.wall_clock_seconds, **labels)
     if report.wall_clock_seconds > 0:
         registry.gauge(
             "repro_train_steps_per_second", "Training throughput (steps/s)"
-        ).set(report.total_steps / report.wall_clock_seconds, run=run)
+        ).set(report.total_steps / report.wall_clock_seconds, **labels)
     rewards = getattr(report, "episode_rewards", None)
     if rewards is not None and len(rewards):
         registry.gauge(
             "repro_train_mean_episode_reward", "Mean episode reward"
-        ).set(float(sum(rewards) / len(rewards)), run=run)
-
-
-def training_report_metrics(report: Any, *, run: Optional[str] = None) -> Dict[str, object]:
-    """The flat ``repro_train_*`` sample view of a :class:`TrainingReport`."""
-    labels = {} if run is None else {"run": run}
-    out: Dict[str, object] = {
-        _sample_name("repro_train_episodes_total", **labels): report.episodes,
-        _sample_name("repro_train_steps_total", **labels): report.total_steps,
-        _sample_name("repro_train_wall_clock_seconds", **labels): report.wall_clock_seconds,
-    }
-    if report.wall_clock_seconds > 0:
-        out[_sample_name("repro_train_steps_per_second", **labels)] = (
-            report.total_steps / report.wall_clock_seconds
-        )
-    return out
+        ).set(float(sum(rewards) / len(rewards)), **labels)

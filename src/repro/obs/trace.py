@@ -1,18 +1,17 @@
 """Request tracing: span contexts from submission to response, Chrome-exportable.
 
-A :class:`Tracer` attached to a :class:`~repro.serve.server.DecisionServer`
-(via ``attach_tracer``) follows every request through the serving pipeline:
+A :class:`Tracer` subscribed to a :class:`~repro.serve.server.DecisionServer`
+(via ``subscribe``) follows every request through the serving pipeline:
 
-* a **request span** is minted the moment
-  :meth:`~repro.serve.batcher.MicroBatcher.submit` enqueues the request —
-  it opens on the tenant's timeline at the submission instant and closes
-  when the batch that answered it finishes, so its duration is queue wait
-  plus fused service time;
-* a **batch span** wraps each :meth:`DecisionServer._flush_one_batch`
-  handler invocation — endpoint fusion, :class:`~repro.serve.cache.
-  CompletionCache` lookups, and the backend solve all happen inside it.
-  The server annotates it with the flush trigger, the logical tick, and the
-  cache hit/miss delta the handler produced;
+* a **request span** is minted by the server's ``request`` event, the
+  moment the batcher accepts the request — it opens on the tenant's
+  timeline at that instant and closes when the batch that answered it
+  finishes, so its duration is queue wait plus fused service time;
+* a **batch span** opens at the ``flush`` event and closes at ``flushed``,
+  spanning the batch handler's own timing — endpoint fusion,
+  :class:`~repro.serve.cache.CompletionCache` lookups, and the backend
+  solve all happen inside it.  It carries the flush trigger, the logical
+  tick, and the cache hit/miss delta the handler produced;
 * every request span records its batch span as ``args.parent`` — batch
   spans *parent* request spans, which is the end-to-end link nothing in the
   stack had before;
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.utils.timing import monotonic
 
@@ -72,53 +71,21 @@ class SpanRecord:
         self.args = args
 
 
-class _OpenRequest:
-    """A request span minted at submit, waiting for its batch to close it."""
-
-    __slots__ = ("span_id", "kind", "tenant", "sequence", "enqueued_tick", "start")
-
-    def __init__(
-        self, span_id: int, kind: str, tenant: str, sequence: int,
-        enqueued_tick: int, start: float,
-    ) -> None:
-        self.span_id = span_id
-        self.kind = kind
-        self.tenant = tenant
-        self.sequence = sequence
-        self.enqueued_tick = enqueued_tick
-        self.start = start
-
-
-class _BatchHandle:
-    """The server's handle on an open batch span (returned by begin_batch)."""
-
-    __slots__ = ("span_id", "kind", "tick", "trigger", "start", "requests")
-
-    def __init__(self, span_id, kind, tick, trigger, start, requests) -> None:
-        self.span_id = span_id
-        self.kind = kind
-        self.tick = tick
-        self.trigger = trigger
-        self.start = start
-        self.requests = requests
-
-
 class Tracer:
     """Collects request/batch/profile spans; exports Chrome trace-event JSON.
 
-    Duck-typed against the serve layer: :class:`~repro.serve.batcher.
-    MicroBatcher` calls :meth:`begin_request`, :class:`~repro.serve.server.
-    DecisionServer` brackets handlers with :meth:`begin_batch` /
-    :meth:`end_batch`, and :class:`~repro.obs.profile.Profiler` feeds
+    Duck-typed against the serve layer: it subscribes to a
+    :class:`~repro.serve.server.DecisionServer`'s ``request`` / ``flush`` /
+    ``flushed`` events, and :class:`~repro.obs.profile.Profiler` feeds
     :meth:`add_span` — this module imports nothing from ``repro.serve``.
     """
 
     def __init__(self) -> None:
         self.spans: List[SpanRecord] = []
-        self._open_requests: Dict[int, _OpenRequest] = {}  # sequence -> span
-        self._open_batches: List[_BatchHandle] = []
+        # sequence -> (span id, submission instant) of a request awaiting its batch.
+        self._open_requests: Dict[int, Tuple[int, float]] = {}
+        self._open_batches: List[int] = []  # span ids, innermost last
         self._next_span_id = 1
-        self._dropped_open = 0
 
     # -- span accounting ---------------------------------------------------------
 
@@ -127,80 +94,68 @@ class Tracer:
         self._next_span_id += 1
         return span_id
 
-    def begin_request(self, request: Any) -> None:
-        """Mint a request span (called from ``MicroBatcher.submit``).
+    def request(self, request: Any) -> None:
+        """Mint a request span for an accepted request.
 
         ``request`` is duck-typed: anything with ``kind`` / ``tenant`` /
-        ``sequence`` / ``enqueued_at`` attributes.  Only those scalars are
-        kept — payloads are never referenced, so tracing cannot pin request
-        data in memory.
+        ``sequence`` / ``enqueued_at`` attributes.  Only its sequence number
+        is kept — payloads are never referenced, so tracing cannot pin
+        request data in memory.
         """
-        self._open_requests[int(request.sequence)] = _OpenRequest(
-            span_id=self._mint(),
-            kind=str(request.kind),
-            tenant=str(request.tenant),
-            sequence=int(request.sequence),
-            enqueued_tick=int(request.enqueued_at),
-            start=monotonic(),
-        )
+        self._open_requests[int(request.sequence)] = (self._mint(), monotonic())
 
-    def begin_batch(
-        self, kind: str, *, tick: int, trigger: str, requests: Any
-    ) -> _BatchHandle:
-        """Open a batch span around one flush; returns the handle for ``end_batch``."""
-        handle = _BatchHandle(
-            span_id=self._mint(),
-            kind=str(kind),
-            tick=int(tick),
-            trigger=str(trigger),
-            start=monotonic(),
-            requests=[(int(r.sequence), int(r.enqueued_at)) for r in requests],
-        )
-        self._open_batches.append(handle)
-        return handle
+    def flush(self, record: Any) -> None:
+        """Open the batch span of one flush (profile spans nest under it)."""
+        self._open_batches.append(self._mint())
 
-    def end_batch(self, handle: _BatchHandle, **extra: Any) -> None:
-        """Close a batch span; closes its request spans and parents them to it."""
-        end = monotonic()
-        self._open_batches.remove(handle)
-        sequences = [sequence for sequence, _ in handle.requests]
+    def flushed(self, record: Any) -> None:
+        """Close the batch span; close its request spans and parent them to it.
+
+        ``record`` is duck-typed: a flush record's ``kind`` / ``tick`` /
+        ``trigger`` / ``requests``, the handler's ``start`` / ``end``
+        readings and its ``cache_hits`` / ``cache_misses`` delta.
+        """
+        span_id = self._open_batches.pop()
+        sequences = [int(request.sequence) for request in record.requests]
         self.spans.append(
             SpanRecord(
-                name=f"{handle.kind} batch",
+                name=f"{record.kind} batch",
                 cat="serve.batch",
-                start=handle.start,
-                end=end,
-                track=f"batch/{handle.kind}",
-                span_id=handle.span_id,
+                start=record.start,
+                end=record.end,
+                track=f"batch/{record.kind}",
+                span_id=span_id,
                 parent_id=None,
                 args={
-                    "tick": handle.tick,
-                    "trigger": handle.trigger,
+                    "tick": int(record.tick),
+                    "trigger": str(record.trigger),
                     "size": len(sequences),
                     "sequences": sequences,
-                    **extra,
+                    "cache_hits": record.cache_hits,
+                    "cache_misses": record.cache_misses,
                 },
             )
         )
-        for sequence, enqueued_tick in handle.requests:
-            open_request = self._open_requests.pop(sequence, None)
-            if open_request is None:
-                continue  # submitted before the tracer was attached
+        for request in record.requests:
+            opened = self._open_requests.pop(int(request.sequence), None)
+            if opened is None:
+                continue  # submitted before the tracer subscribed
+            enqueued_tick = int(request.enqueued_at)
             self.spans.append(
                 SpanRecord(
-                    name=f"{open_request.kind} request",
+                    name=f"{request.kind} request",
                     cat="serve.request",
-                    start=open_request.start,
-                    end=end,
-                    track=f"tenant/{open_request.tenant}",
-                    span_id=open_request.span_id,
-                    parent_id=handle.span_id,
+                    start=opened[1],
+                    end=record.end,
+                    track=f"tenant/{request.tenant}",
+                    span_id=opened[0],
+                    parent_id=span_id,
                     args={
-                        "sequence": sequence,
-                        "tenant": open_request.tenant,
+                        "sequence": int(request.sequence),
+                        "tenant": str(request.tenant),
                         "enqueued_tick": enqueued_tick,
-                        "flushed_tick": handle.tick,
-                        "wait_ticks": handle.tick - enqueued_tick,
+                        "flushed_tick": int(record.tick),
+                        "wait_ticks": int(record.tick) - enqueued_tick,
                     },
                 )
             )
@@ -214,7 +169,7 @@ class Tracer:
         is how an ALS solve executed by a ``complete`` handler shows up as
         a child of that batch.
         """
-        parent = self._open_batches[-1].span_id if self._open_batches else None
+        parent = self._open_batches[-1] if self._open_batches else None
         self.spans.append(
             SpanRecord(
                 name=name,
@@ -283,6 +238,11 @@ class Tracer:
     def open_requests(self) -> int:
         """Request spans minted but not yet closed by a batch."""
         return len(self._open_requests)
+
+    @property
+    def open_batches(self) -> int:
+        """Batch spans opened by a flush and not yet closed."""
+        return len(self._open_batches)
 
     def __len__(self) -> int:
         return len(self.spans)

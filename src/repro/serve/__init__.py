@@ -13,8 +13,9 @@ memoises completions in an LRU :class:`CompletionCache`.
 * :mod:`repro.serve.cache` — content-fingerprint completion caching
   (:class:`CompletionCache`, :class:`CachingInference`).
 * :mod:`repro.serve.server` — :class:`DecisionServer`, :class:`ServeConfig`,
-  and the cooperative :func:`drive` scheduler (:func:`drive_rounds` steps it
-  one round at a time).
+  the :class:`FlushRecord` its event stream reports batches with
+  (:meth:`DecisionServer.subscribe`), and the cooperative :func:`drive`
+  scheduler (:func:`drive_rounds` steps it one round at a time).
 * :mod:`repro.serve.stats` — :class:`ServerStats` telemetry, including
   per-campaign fairness counters (:class:`TenantStats`).
 * :mod:`repro.serve.journal` — the :class:`RequestJournal` flight recorder
@@ -53,6 +54,7 @@ from repro.serve.journal import (
 from repro.serve.server import (
     CYCLE_BARRIER,
     DecisionServer,
+    FlushRecord,
     ServeConfig,
     drive,
     drive_rounds,
@@ -66,6 +68,7 @@ __all__ = [
     "DEFAULT_TENANT",
     "DecisionServer",
     "EndpointStats",
+    "FlushRecord",
     "LatencyReservoir",
     "MicroBatcher",
     "PendingResult",

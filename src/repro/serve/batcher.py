@@ -165,11 +165,6 @@ class MicroBatcher:
             )
         self.max_inflight_per_tenant = max_inflight_per_tenant
         self.clock = clock or TickClock()
-        # Optional request tracer (duck-typed — see repro.obs.trace.Tracer):
-        # when set, every submitted request mints a span here, at the exact
-        # point its sequence number and enqueue tick are assigned.  Purely
-        # observational; excluded from state_dict.
-        self.tracer: Optional[Any] = None
         # kind -> tenant -> FIFO of requests.  Kinds persist in
         # first-submission order; drained-empty tenant buckets are removed
         # (tenant order is recomputed per batch from pending sequences).
@@ -194,8 +189,6 @@ class MicroBatcher:
             tenant=tenant,
         )
         self._sequence += 1
-        if self.tracer is not None:
-            self.tracer.begin_request(request)
         buckets = self._queues.setdefault(kind, {})
         buckets.setdefault(tenant, deque()).append(request)
         return request

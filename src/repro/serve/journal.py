@@ -1,8 +1,8 @@
 """The request journal: record a serving session, replay it differentially.
 
-:class:`RequestJournal` is the serving layer's flight recorder.  Attached to
-a :class:`~repro.serve.server.DecisionServer` (via
-:meth:`~repro.serve.server.DecisionServer.attach_journal`), it records every
+:class:`RequestJournal` is the serving layer's flight recorder.  Subscribed
+to a :class:`~repro.serve.server.DecisionServer`'s event stream (via
+:meth:`~repro.serve.server.DecisionServer.subscribe`), it records every
 event that determines — or evidences — the session's behaviour, as plain
 JSON-able dicts:
 
@@ -86,11 +86,11 @@ def weights_fingerprint(weights: Sequence[Dict[str, np.ndarray]]) -> str:
 class RequestJournal:
     """Record a serving session's events for differential replay.
 
-    Use a *fresh* journal per recorded session, attach it before the first
-    request, and call :meth:`finalize` after the drive completes::
+    Use a *fresh* journal per recorded session, subscribe it before the
+    first request, and call :meth:`finalize` after the drive completes::
 
         journal = RequestJournal()
-        report, stats, _ = session.serve(journal=journal)   # attaches + finalizes
+        report, stats, _ = session.serve(journal=journal)   # subscribes + finalizes
         journal.save("session.journal")
 
     Entity references (agents, assessors, inference instances, learners)
@@ -107,7 +107,7 @@ class RequestJournal:
         self._entities: Dict[str, Dict[int, Tuple[str, Any]]] = {}
         self._watched_stores: Dict[int, Any] = {}
 
-    # -- recording hooks (called by DecisionServer / Session) --------------------
+    # -- recording: Session + the server's event stream (DecisionServer.subscribe)
 
     def record_header(self, *, scenario: Dict[str, Any], serve: Dict[str, Any]) -> None:
         """Record the session identity: scenario spec + resolved serve knobs."""
@@ -125,7 +125,7 @@ class RequestJournal:
             }
         )
 
-    def record_request(self, request: Any) -> None:
+    def request(self, request: Any) -> None:
         """Record one submitted :class:`~repro.serve.batcher.ServeRequest`."""
         self.events.append(
             {
@@ -138,35 +138,42 @@ class RequestJournal:
             }
         )
 
-    def record_flush(
-        self, kind: str, *, tick: int, trigger: str, sequences: Sequence[int]
-    ) -> None:
-        """Record one assembled batch: what fired it, and who got its slots."""
+    def flush(self, record: Any) -> None:
+        """Record one assembled batch: what fired it, and who got its slots.
+
+        Also watches the weight store of every learner the batch feeds, so
+        the publications its ingest triggers land in the journal under the
+        learner's stable telemetry label.
+        """
         self.events.append(
             {
                 "type": "flush",
-                "kind": kind,
-                "tick": int(tick),
-                "trigger": trigger,
-                "seqs": [int(sequence) for sequence in sequences],
+                "kind": record.kind,
+                "tick": int(record.tick),
+                "trigger": record.trigger,
+                "seqs": [int(request.sequence) for request in record.requests],
             }
         )
+        for label, learner in record.learners.items():
+            if hasattr(learner, "store"):
+                self.watch_store(label, learner.store)
 
-    def record_response(self, request: Any) -> None:
-        """Record one resolved request's canonical result (or its error)."""
-        event: Dict[str, Any] = {"type": "response", "seq": request.sequence}
-        try:
-            event["result"] = self._canonical(request.future.result())
-        except BaseException as error:  # journalled, then re-raised client-side
-            event["error"] = repr(error)
-        self.events.append(event)
+    def flushed(self, record: Any) -> None:
+        """Record each resolved request's canonical result (or its error)."""
+        for request in record.requests:
+            event: Dict[str, Any] = {"type": "response", "seq": request.sequence}
+            try:
+                event["result"] = self._canonical(request.future.result())
+            except BaseException as error:  # journalled, then re-raised client-side
+                event["error"] = repr(error)
+            self.events.append(event)
 
     def watch_store(self, label: str, store: Any) -> None:
         """Record every future weight publication of ``store`` under ``label``.
 
-        Idempotent per store instance; the server calls this the first time
-        a learner shows up on the ``learn_batch`` endpoint, so the journal
-        captures every publication that batched ingestion triggers.
+        Idempotent per store instance; :meth:`flush` calls this for every
+        learner a ``learn`` batch feeds, so the journal captures every
+        publication that batched ingestion triggers.
         """
         if id(store) in self._watched_stores:
             return

@@ -56,9 +56,9 @@ fusion this package exists for.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,8 +70,9 @@ from repro.serve.batcher import (
     ServeRequest,
     TickClock,
 )
-from repro.serve.cache import CachingInference, CompletionCache
+from repro.serve.cache import CachingInference, CompletionCache, pool_key
 from repro.serve.stats import ServerStats
+from repro.utils.timing import monotonic
 from repro.utils.validation import check_matrix, check_positive_int
 
 _payload = attrgetter("payload")
@@ -156,6 +157,30 @@ class LearnQuery:
     batch: Any  # repro.learner.replay.TransitionBatch
 
 
+@dataclass
+class FlushRecord:
+    """One flushed batch, as the server's event stream reports it.
+
+    Subscribers get the same record twice: in ``flush``, before the batch's
+    handler runs, and in ``flushed``, after it, with ``start`` / ``end``
+    (the handler's :func:`~repro.utils.timing.monotonic` readings) and the
+    completion cache's hit/miss delta filled in.
+    """
+
+    kind: str
+    tick: int
+    trigger: str  # "full", "due" or "forced"
+    requests: List[ServeRequest]
+    #: Tenants that had requests of this kind pending but got no slot.
+    starved: Tuple[str, ...] = ()
+    #: Telemetry label -> learner fed by this batch (``learn`` flushes only).
+    learners: Dict[str, Any] = field(default_factory=dict)
+    start: float = 0.0
+    end: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+
 class DecisionServer:
     """A shared decision server for concurrently running MCS campaigns.
 
@@ -188,15 +213,8 @@ class DecisionServer:
             max_inflight_per_tenant=self.config.max_inflight_per_campaign,
         )
         self.stats = ServerStats(cache=self.cache)
-        # Optional request journal (duck-typed — see repro.serve.journal);
-        # when attached, every request, flush decision, response, and learner
-        # weight publication is recorded for differential replay.
-        self._journal: Optional[Any] = None
-        # Optional request tracer (duck-typed — see repro.obs.trace.Tracer);
-        # when attached, every flush opens a batch span that parents the
-        # spans of the requests it resolves.  Purely observational: traced
-        # and untraced runs are bitwise identical.
-        self._tracer: Optional[Any] = None
+        # Receivers of the event stream, in emission order (see subscribe).
+        self._subscribers: List[Any] = [self.stats]
         # Bounded LRU of caching wrappers, keyed by inference instance id; a
         # long-lived server serving many short-lived campaigns must not pin
         # every inference instance it ever saw (completed work lives on in
@@ -207,31 +225,31 @@ class DecisionServer:
         # first-appearance order (telemetry keys in ServerStats.learners).
         self._learner_labels: Dict[int, str] = {}
 
-    # -- journal wiring ----------------------------------------------------------
+    # -- event stream ------------------------------------------------------------
 
-    def attach_journal(self, journal: Any) -> None:
-        """Record every request/flush/response/publish into ``journal``.
+    def subscribe(self, subscriber: Any) -> None:
+        """Send every later server event to ``subscriber``.
 
-        ``journal`` is duck-typed (anything with ``record_request`` /
-        ``record_flush`` / ``record_response`` / ``watch_store``); see
-        :class:`~repro.serve.journal.RequestJournal`.  Attach before the
-        first request — a journal that missed traffic cannot replay it.
+        The stream has three events, each delivered to the subscribers in
+        subscription order, :attr:`stats` always first:
+
+        ``request(request)``
+            A :class:`~repro.serve.batcher.ServeRequest` the batcher
+            accepted; a refused request emits nothing.
+        ``flush(record)``
+            A :class:`FlushRecord`, before the batch's handler runs.
+        ``flushed(record)``
+            The same record after the handler returned or raised; every
+            request of the batch is resolved by then.
+
+        :class:`~repro.serve.journal.RequestJournal` and
+        :class:`~repro.obs.trace.Tracer` are the library's subscribers.
+        Subscribe before the first request: a journal that missed traffic
+        cannot replay it, and a tracer opens no span for it.  Subscribers
+        only observe — traced or journalled runs are bitwise identical to
+        bare ones.
         """
-        self._journal = journal
-
-    def attach_tracer(self, tracer: Any) -> None:
-        """Follow every request and batch through the pipeline with ``tracer``.
-
-        ``tracer`` is duck-typed (anything with ``begin_request`` /
-        ``begin_batch`` / ``end_batch``); see
-        :class:`~repro.obs.trace.Tracer`.  Request spans are minted inside
-        :meth:`MicroBatcher.submit` — the moment a request gets its sequence
-        number — and closed by the batch span of the flush that answers
-        them.  Requests already queued when the tracer attaches simply
-        produce no spans.
-        """
-        self._tracer = tracer
-        self.batcher.tracer = tracer
+        self._subscribers.append(subscriber)
 
     # -- endpoints ---------------------------------------------------------------
 
@@ -293,13 +311,16 @@ class DecisionServer:
         """Queue a quality assessment; resolves to a bool verdict.
 
         Raises ``ValueError`` here, before queueing, when ``observed`` is not
-        a 2-D matrix, contains ±inf or ``cycle`` is not one of its columns: a
-        request that cannot be answered must not fail the requests pooled
-        with it.
+        a 2-D matrix, contains ±inf or ``cycle`` is not one of its columns,
+        and ``TypeError`` when the assessor or the inference cannot be keyed
+        for pooling (see :func:`~repro.serve.cache.pool_key`): a request
+        that cannot be answered must not fail the requests pooled with it.
         """
         shape = check_matrix(observed, "observed").shape
         if not 0 <= cycle < shape[1]:
             raise ValueError(f"cycle {cycle} out of range for {shape[1]} cycles")
+        pool_key(assessor)
+        pool_key(inference)
         payload = AssessQuery(
             assessor=assessor,
             inference=inference,
@@ -319,11 +340,14 @@ class DecisionServer:
         """Queue a matrix completion; resolves to the completed matrix.
 
         Raises ``ValueError`` here, before queueing, when ``matrix`` is not
-        2-D, contains ±inf or has no observed (non-NaN) entry: a request that
-        cannot be answered must not fail the requests pooled with it.
+        2-D, contains ±inf or has no observed (non-NaN) entry, and
+        ``TypeError`` when the inference cannot be keyed for pooling: a
+        request that cannot be answered must not fail the requests pooled
+        with it.
         """
         if np.isnan(check_matrix(matrix, "matrix")).all():
             raise ValueError("cannot infer from a matrix with no observed entries")
+        pool_key(inference)
         return self._submit(
             "complete", CompleteQuery(inference=inference, matrix=matrix), tenant=tenant
         )
@@ -355,10 +379,9 @@ class DecisionServer:
         return self._submit("learn", LearnQuery(learner=learner, batch=batch), tenant=tenant)
 
     def _submit(self, kind: str, payload: Any, *, tenant: str = DEFAULT_TENANT) -> PendingResult:
-        self.stats.record_request(kind, tenant=tenant)
         request = self.batcher.submit(kind, payload, tenant=tenant)
-        if self._journal is not None:
-            self._journal.record_request(request)
+        for subscriber in self._subscribers:
+            subscriber.request(request)
         if self.batcher.is_full(kind):
             self._flush_one_batch(kind, trigger="full")
         return request.future
@@ -371,7 +394,6 @@ class DecisionServer:
         Returns the number of requests resolved.
         """
         self.clock.advance(ticks)
-        self.stats.ticks = self.clock.now()
         resolved = 0
         for kind in KINDS:
             while self.batcher.is_due(kind):
@@ -411,42 +433,39 @@ class DecisionServer:
         requests = self.batcher.drain(kind)
         if not requests:
             return 0
-        batch_tenants = {request.tenant for request in requests}
-        self.stats.record_fairness(
-            (request.tenant for request in requests),
-            (tenant for tenant in waiting if tenant not in batch_tenants),
+        served = {request.tenant for request in requests}
+        record = FlushRecord(
+            kind,
+            self.clock.now(),
+            trigger,
+            requests,
+            starved=tuple(tenant for tenant in waiting if tenant not in served),
         )
-        if self._journal is not None:
-            self._journal.record_flush(
-                kind,
-                tick=self.clock.now(),
-                trigger=trigger,
-                sequences=[request.sequence for request in requests],
-            )
+        if kind == "learn":
+            for request in requests:
+                learner = request.payload.learner
+                record.learners.setdefault(self._learner_label(learner), learner)
+        for subscriber in self._subscribers:
+            subscriber.flush(record)
         handler = {
             "select": self._handle_select,
             "assess": self._handle_assess,
             "complete": self._handle_complete,
             "learn": self._handle_learn,
         }[kind]
-        batch_span = None
-        hits_before = misses_before = 0
-        if self._tracer is not None:
-            batch_span = self._tracer.begin_batch(
-                kind, tick=self.clock.now(), trigger=trigger, requests=requests
-            )
-            hits_before, misses_before = self.cache.hits, self.cache.misses
-        with self.stats.record_batch(kind, len(requests)):
+        hits, misses = self.cache.hits, self.cache.misses
+        record.start = monotonic()
+        try:
             handler(requests)
-        if batch_span is not None:
-            self._tracer.end_batch(
-                batch_span,
-                cache_hits=self.cache.hits - hits_before,
-                cache_misses=self.cache.misses - misses_before,
-            )
-        if self._journal is not None:
-            for request in requests:
-                self._journal.record_response(request)
+        except BaseException as error:  # no request of the batch stays unresolved
+            self._fail_group(requests, error)
+            raise
+        finally:
+            record.end = monotonic()
+            record.cache_hits = self.cache.hits - hits
+            record.cache_misses = self.cache.misses - misses
+            for subscriber in self._subscribers:
+                subscriber.flushed(record)
         return len(requests)
 
     def _handle_select(self, requests: List[ServeRequest]) -> None:
@@ -496,22 +515,16 @@ class DecisionServer:
         Batches for the same learner are ingested in submission order —
         exactly the order sequential direct execution would have observed
         the cycles in — and every request resolves to its per-batch receipt.
-        After each group the learner's telemetry snapshot (weight staleness,
-        per-campaign replay accounting, learn progress) is published into
-        :attr:`ServerStats.learners`.
+        The flush record names the learners, so :attr:`ServerStats.learners`
+        snapshots their telemetry (weight staleness, per-campaign replay
+        accounting, learn progress) after the batch.
         """
         groups: Dict[int, List[ServeRequest]] = {}
         for request in requests:
             groups.setdefault(id(request.payload.learner), []).append(request)
         for group in groups.values():
-            learner = group[0].payload.learner
-            if self._journal is not None and hasattr(learner, "store"):
-                # Idempotent: publish events from this very ingest (and all
-                # later ones) land in the journal under the learner's stable
-                # telemetry label.
-                self._journal.watch_store(self._learner_label(learner), learner.store)
             try:
-                receipts = learner.ingest(
+                receipts = group[0].payload.learner.ingest(
                     [request.payload.batch for request in group]
                 )
             except Exception as error:
@@ -519,9 +532,6 @@ class DecisionServer:
                 continue
             for request, receipt in zip(group, receipts):
                 request.future.set_result(receipt)
-            self.stats.record_learner(
-                self._learner_label(learner), learner.telemetry()
-            )
 
     def _learner_label(self, learner: Any) -> str:
         """Stable telemetry key for a learner instance (first-seen order)."""

@@ -15,16 +15,15 @@ Two reporting views coexist:
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, Iterator, List, Mapping, Optional
 
 import numpy as np
 
-from repro.utils.timing import monotonic
-
 if TYPE_CHECKING:  # pragma: no cover - typing aid only
+    from repro.serve.batcher import ServeRequest
     from repro.serve.cache import CompletionCache
+    from repro.serve.server import FlushRecord
 
 
 class LatencyReservoir:
@@ -248,23 +247,26 @@ class TenantStats:
 class ServerStats:
     """Aggregated decision-server telemetry.
 
-    Endpoint counters are recorded by the server as requests arrive and
-    batches flush; the cache's hit/miss counters are read live from the
-    attached :class:`~repro.serve.cache.CompletionCache`, so this object is
-    always current — snapshot it with :meth:`as_dict` for reporting.
-    Learner telemetry (weight-version staleness, per-campaign replay
-    accounting) is pushed by the server after every ``learn`` flush, one
-    entry per learner instance.  Tenant counters track per-campaign request
-    volume and fairness (see :class:`TenantStats`).
+    The server's first event subscriber (see
+    :meth:`~repro.serve.server.DecisionServer.subscribe`): endpoint and
+    tenant counters move as requests arrive and batches flush, and the
+    cache's hit/miss counters are read live from the attached
+    :class:`~repro.serve.cache.CompletionCache`, so this object is always
+    current — snapshot it with :meth:`as_dict` for reporting.  Learner
+    telemetry (weight-version staleness, per-campaign replay accounting) is
+    snapshotted after every ``learn`` flush, one entry per learner instance.
+    Tenant counters track per-campaign request volume and fairness (see
+    :class:`TenantStats`).
     """
 
     endpoints: Dict[str, EndpointStats] = field(default_factory=dict)
+    #: The logical tick of the latest flush.
     ticks: int = 0
     cache: Optional["CompletionCache"] = None
     learners: Dict[str, Dict[str, object]] = field(default_factory=dict)
     tenants: Dict[str, TenantStats] = field(default_factory=dict)
 
-    # -- recording (used by the server) -----------------------------------------
+    # -- counters ---------------------------------------------------------------
 
     def endpoint(self, kind: str) -> EndpointStats:
         """The (auto-created) counters for ``kind``."""
@@ -278,35 +280,32 @@ class ServerStats:
             self.tenants[label] = TenantStats()
         return self.tenants[label]
 
-    def record_request(self, kind: str, *, tenant: Optional[str] = None) -> None:
-        self.endpoint(kind).requests += 1
-        if tenant is not None:
-            self.tenant(tenant).requests += 1
+    # -- event stream (see DecisionServer.subscribe) ----------------------------
 
-    def record_fairness(self, served, starved) -> None:
+    def request(self, request: "ServeRequest") -> None:
+        """Count one accepted request for its endpoint and tenant."""
+        self.endpoint(request.kind).requests += 1
+        self.tenant(request.tenant).requests += 1
+
+    def flush(self, record: "FlushRecord") -> None:
         """Account one assembled batch: who got slots, who waited it out."""
-        for label in served:
-            self.tenant(label).served += 1
-        for label in starved:
+        self.ticks = record.tick
+        for request in record.requests:
+            self.tenant(request.tenant).served += 1
+        for label in record.starved:
             self.tenant(label).starved_flushes += 1
 
-    @contextmanager
-    def record_batch(self, kind: str, size: int):
-        """Context manager timing one flushed batch of ``size`` requests."""
-        endpoint = self.endpoint(kind)
-        start = monotonic()
-        try:
-            yield
-        finally:
-            elapsed = monotonic() - start
-            endpoint.batches += 1
-            endpoint.batched_requests += int(size)
-            endpoint.seconds += elapsed
-            endpoint.latencies.extend([elapsed] * int(size))
-
-    def record_learner(self, label: str, telemetry: Dict[str, object]) -> None:
-        """Store the latest telemetry snapshot for the learner named ``label``."""
-        self.learners[str(label)] = dict(telemetry)
+    def flushed(self, record: "FlushRecord") -> None:
+        """Time one handled batch; snapshot the learners it fed."""
+        endpoint = self.endpoint(record.kind)
+        elapsed = record.end - record.start
+        size = len(record.requests)
+        endpoint.batches += 1
+        endpoint.batched_requests += size
+        endpoint.seconds += elapsed
+        endpoint.latencies.extend([elapsed] * size)
+        for label, learner in record.learners.items():
+            self.learners[label] = dict(learner.telemetry())
 
     # -- cache passthroughs -----------------------------------------------------
 
@@ -326,13 +325,13 @@ class ServerStats:
 
     # -- reporting --------------------------------------------------------------
 
-    def as_dict(self) -> Dict[str, object]:
-        """One JSON-friendly snapshot of everything."""
+    def _snapshot(
+        self, endpoint_view: Callable[[EndpointStats], Dict[str, object]]
+    ) -> Dict[str, object]:
+        """The shared body of :meth:`as_dict` and :meth:`deterministic_dict`."""
         total = self.cache_hits + self.cache_misses
         return {
-            "endpoints": {
-                kind: stats.as_dict() for kind, stats in self.endpoints.items()
-            },
+            "endpoints": {kind: endpoint_view(stats) for kind, stats in self.endpoints.items()},
             "ticks": self.ticks,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -342,6 +341,10 @@ class ServerStats:
                 label: tenant.as_dict() for label, tenant in self.tenants.items()
             },
         }
+
+    def as_dict(self) -> Dict[str, object]:
+        """One JSON-friendly snapshot of everything."""
+        return self._snapshot(EndpointStats.as_dict)
 
     def deterministic_dict(self) -> Dict[str, object]:
         """The schedule-determined snapshot (no wall-clock fields).
@@ -350,21 +353,7 @@ class ServerStats:
         seeds produce identical ``deterministic_dict()`` output — this is
         the stats view the journal records and replay verification diffs.
         """
-        total = self.cache_hits + self.cache_misses
-        return {
-            "endpoints": {
-                kind: stats.deterministic_dict()
-                for kind, stats in self.endpoints.items()
-            },
-            "ticks": self.ticks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4) if total else None,
-            "learners": {label: dict(data) for label, data in self.learners.items()},
-            "tenants": {
-                label: tenant.as_dict() for label, tenant in self.tenants.items()
-            },
-        }
+        return self._snapshot(EndpointStats.deterministic_dict)
 
     def rows(self) -> List[Dict[str, object]]:
         """Per-endpoint rows for tabular reporting (one dict per kind)."""
@@ -376,13 +365,13 @@ class ServerStats:
     def metrics(self) -> Dict[str, object]:
         """The canonical ``repro_serve_*`` metric view of this snapshot.
 
-        Flat ``name{label="value"}`` sample keys, identical to what
-        :mod:`repro.obs` exports for this object; :meth:`as_dict` remains
-        the backwards-compatible legacy shape.
+        Flat ``name{label="value"}`` sample keys and values, exactly the
+        samples :mod:`repro.obs` exports for this object; :meth:`as_dict`
+        remains the backwards-compatible legacy shape.
         """
-        from repro.obs.adapters import server_stats_metrics
+        from repro.obs.adapters import flat_samples, ingest_server_stats
 
-        return server_stats_metrics(self)
+        return flat_samples(ingest_server_stats, self)
 
     # -- round-tripping ----------------------------------------------------------
 

@@ -1,46 +1,68 @@
 """Adapters: subsystem telemetry mirrored into the ``repro_*`` namespace.
 
 Also covers the ``metrics()`` methods on :class:`ServerStats` /
-:class:`SolverStats` / :class:`Learner` — the canonical flat-sample view of
-each subsystem's telemetry (the legacy ``as_dict()`` / ``telemetry()``
-shapes stay untouched as backwards-compatible aliases).
+:class:`SolverStats` / :class:`Learner` / :class:`TrainingReport` — the
+canonical flat-sample view of each subsystem's telemetry, which is exactly
+what the exporter renders for the ingested registry (the legacy
+``as_dict()`` / ``telemetry()`` shapes stay untouched as
+backwards-compatible aliases).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import pytest
 
+from repro.core.trainer import TrainingReport
 from repro.inference.als import SolverStats
 from repro.obs.adapters import (
     ingest_learner,
     ingest_server_stats,
     ingest_solver_stats,
     ingest_training_report,
-    learner_metrics,
-    training_report_metrics,
 )
+from repro.obs.export import parse_prometheus, render_prometheus
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.batcher import ServeRequest
+from repro.serve.server import FlushRecord
 from repro.serve.stats import ServerStats
-from repro.utils.timing import fake_clock
+
+
+class FakeLearner:
+    def telemetry(self):
+        return {"total_steps": 40, "learn_steps": 4}
 
 
 def build_server_stats() -> ServerStats:
-    """Hand-exercise a ServerStats the way the server does, deterministically."""
+    """Feed a ServerStats the server's events, with exact handler timings."""
     stats = ServerStats()
-    with fake_clock() as clock:
-        stats.record_request("assess", tenant="t0")
-        stats.record_request("assess", tenant="t1")
-        stats.record_request("select", tenant="t0")
-        with stats.record_batch("assess", 2):
-            clock.advance(0.5)
-        with stats.record_batch("select", 1):
-            clock.advance(0.25)
-    stats.ticks = 2
-    stats.record_fairness(("t0", "t1"), ())
-    stats.record_fairness(("t0",), ("t1",))
-    stats.record_learner("learner-0", {"total_steps": 40, "learn_steps": 4})
+    requests = [
+        ServeRequest("assess", None, tenant="t0"),
+        ServeRequest("assess", None, tenant="t1"),
+        ServeRequest("select", None, tenant="t0"),
+    ]
+    for request in requests:
+        stats.request(request)
+    flushes = [
+        FlushRecord("assess", 1, "due", requests[:2], end=0.5),
+        FlushRecord("select", 2, "due", requests[2:], starved=("t1",), start=0.5, end=0.75),
+        FlushRecord("learn", 2, "forced", [], learners={"learner-0": FakeLearner()}),
+    ]
+    for record in flushes:
+        stats.flush(record)
+        stats.flushed(record)
     return stats
+
+
+def exported_samples(ingest, source, **labels):
+    """The exporter's samples for ``source`` ingested into a fresh registry."""
+    registry = MetricsRegistry()
+    ingest(registry, source, **labels)
+    return {
+        sample: value
+        for family in parse_prometheus(render_prometheus(registry)).values()
+        for sample, value in family["samples"].items()
+    }
 
 
 class TestServerStatsIngestion:
@@ -90,6 +112,7 @@ class TestServerStatsIngestion:
         stats = build_server_stats()
         flat = stats.metrics()
         assert flat['repro_serve_requests_total{endpoint="assess"}'] == 2
+        assert flat['repro_serve_latency_seconds_count{endpoint="assess"}'] == 2
         assert flat['repro_serve_batch_occupancy{endpoint="assess"}'] == 2.0
         assert flat["repro_serve_ticks"] == 2
         assert flat['repro_serve_tenant_served_total{tenant="t0"}'] == 2
@@ -165,28 +188,14 @@ class TestLearnerIngestion:
         assert "repro_learner_replay_occupancy" not in registry
 
     def test_flat_view_and_real_learner_metrics_method(self):
-        flat = learner_metrics(FULL_TELEMETRY, learner="L0")
+        flat = exported_samples(ingest_learner, FULL_TELEMETRY, learner="L0")
         assert flat['repro_learner_replay_occupancy{learner="L0"}'] == 0.25
         assert (
             flat['repro_learner_replay_campaign_transitions{campaign="camp-a",learner="L0"}']
             == 40
         )
 
-        from repro.core.drcell import DRCellAgent, DRCellConfig
-        from repro.learner import Learner, LearnerConfig
-        from repro.rl.dqn import DQNConfig
-
-        agent = DRCellAgent.build(
-            4,
-            DRCellConfig(
-                window=2,
-                seed=0,
-                lstm_hidden=8,
-                dense_hidden=(8,),
-                dqn=DQNConfig(batch_size=8, min_replay_size=8, replay_capacity=64),
-            ),
-        )
-        learner = Learner(agent, config=LearnerConfig(steps_per_publish=4))
+        learner = build_learner()
         flat = learner.metrics(learner="L0")
         assert flat['repro_learner_total_steps{learner="L0"}'] == 0
         assert flat['repro_learner_weights_version{learner="L0"}'] == learner.telemetry()["weights"]["version"]
@@ -224,6 +233,57 @@ class TestTrainingReportIngestion:
         report = FakeTrainingReport(wall_clock_seconds=0.0)
         ingest_training_report(registry, report, run="r")
         assert "repro_train_steps_per_second" not in registry
-        flat = training_report_metrics(report, run="r")
+        flat = exported_samples(ingest_training_report, report, run="r")
         assert 'repro_train_steps_per_second{run="r"}' not in flat
         assert flat['repro_train_episodes_total{run="r"}'] == 8
+
+
+def build_learner():
+    from repro.core.drcell import DRCellAgent, DRCellConfig
+    from repro.learner import Learner, LearnerConfig
+    from repro.rl.dqn import DQNConfig
+
+    agent = DRCellAgent.build(
+        4,
+        DRCellConfig(
+            window=2,
+            seed=0,
+            lstm_hidden=8,
+            dense_hidden=(8,),
+            dqn=DQNConfig(batch_size=8, min_replay_size=8, replay_capacity=64),
+        ),
+    )
+    return Learner(agent, config=LearnerConfig(steps_per_publish=4))
+
+
+class TestMetricsViewsAreTheExportersSamples:
+    """Every ``metrics()`` flat view is the exporter's samples, labelled or not."""
+
+    def test_server_stats(self):
+        stats = build_server_stats()
+        assert stats.metrics() == exported_samples(ingest_server_stats, stats)
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_solver_stats(self, backend):
+        solver_stats = SolverStats()
+        solver_stats.record(matrices=3, sweeps_run=12)
+        expected = exported_samples(ingest_solver_stats, solver_stats, backend=backend)
+        assert solver_stats.metrics(backend=backend) == expected
+        assert ("repro_als_solves_total" in expected) == (backend is None)
+
+    @pytest.mark.parametrize("label", [None, "L0"])
+    def test_learner(self, label):
+        learner = build_learner()
+        expected = exported_samples(ingest_learner, learner.telemetry(), learner=label)
+        assert learner.metrics(learner=label) == expected
+        assert ("repro_learner_total_steps" in expected) == (label is None)
+
+    @pytest.mark.parametrize("run", [None, "r"])
+    def test_training_report(self, run):
+        report = TrainingReport(
+            episodes=8, total_steps=400, wall_clock_seconds=2.0, episode_rewards=[1.0, 3.0]
+        )
+        expected = exported_samples(ingest_training_report, report, run=run)
+        assert report.metrics(run=run) == expected
+        mean_reward = "repro_train_mean_episode_reward" + ("" if run is None else '{run="r"}')
+        assert expected[mean_reward] == 2.0

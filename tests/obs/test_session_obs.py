@@ -156,6 +156,20 @@ class TestObservedSessionExports:
         # Profile spans made it onto the same timeline.
         assert any(event["cat"] == "profile" for event in complete)
 
+    def test_journal_tracer_and_stats_count_the_same_flushes(self, observed):
+        # Three subscribers of one event stream: one flush, one of each view.
+        journal_flushes = sum(
+            event["type"] == "flush" for event in observed["journal"].events
+        )
+        traced_batches = sum(
+            span.cat == "serve.batch" for span in observed["obs"].tracer.spans
+        )
+        endpoints = observed["stats"].deterministic_dict()["endpoints"]
+        assert set(endpoints) == {"select", "assess", "complete", "learn"}
+        assert journal_flushes == traced_batches == sum(
+            endpoint["batches"] for endpoint in endpoints.values()
+        )
+
     def test_trace_file_save_round_trip(self, observed, tmp_path):
         path = observed["obs"].save_trace(tmp_path / "trace.json")
         loaded = json.loads(path.read_text(encoding="utf-8"))

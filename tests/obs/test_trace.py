@@ -20,24 +20,42 @@ class FakeRequest:
     enqueued_at: int
 
 
+@dataclass
+class FakeFlush:
+    """The duck-typed subset of the server's FlushRecord the tracer reads."""
+
+    kind: str
+    tick: int
+    trigger: str
+    requests: list
+    start: float = 0.0
+    end: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+
+def serve_batch(tracer, record, start, end):
+    """The server's flush/flushed pair around a handler timed start..end."""
+    tracer.flush(record)
+    record.start, record.end = start, end
+    tracer.flushed(record)
+
+
 class TestRequestAndBatchSpans:
     def test_batch_span_parents_its_request_spans_with_exact_times(self):
         tracer = Tracer()
         with fake_clock() as clock:
             first = FakeRequest("assess", "t0", 0, 0)
-            tracer.begin_request(first)
+            tracer.request(first)
             clock.advance(0.5)
             second = FakeRequest("assess", "t1", 1, 3)
-            tracer.begin_request(second)
-            clock.advance(0.5)
-            handle = tracer.begin_batch(
-                "assess", tick=5, trigger="full", requests=[first, second]
-            )
-            clock.advance(0.25)
-            tracer.end_batch(handle, cache_hits=1)
+            tracer.request(second)
+        record = FakeFlush("assess", 5, "full", [first, second], cache_hits=1)
+        serve_batch(tracer, record, 1.0, 1.25)
 
         assert len(tracer) == 3
         assert tracer.open_requests == 0
+        assert tracer.open_batches == 0
         batch = next(s for s in tracer.spans if s.cat == "serve.batch")
         requests = [s for s in tracer.spans if s.cat == "serve.request"]
         assert batch.name == "assess batch"
@@ -61,25 +79,21 @@ class TestRequestAndBatchSpans:
     def test_requests_submitted_before_attach_are_skipped_not_crashed(self):
         tracer = Tracer()
         unseen = FakeRequest("select", "t0", 7, 0)
-        handle = tracer.begin_batch("select", tick=1, trigger="forced", requests=[unseen])
-        tracer.end_batch(handle)
+        serve_batch(tracer, FakeFlush("select", 1, "forced", [unseen]), 0.0, 0.0)
         # Only the batch span exists; the never-minted request is no error.
         assert [span.cat for span in tracer.spans] == ["serve.batch"]
 
     def test_add_span_nests_under_the_open_batch(self):
         tracer = Tracer()
-        with fake_clock() as clock:
-            request = FakeRequest("complete", "t0", 0, 0)
-            tracer.begin_request(request)
-            handle = tracer.begin_batch(
-                "complete", tick=1, trigger="full", requests=[request]
-            )
-            start = 0.0
-            clock.advance(0.1)
-            tracer.add_span("als.solve", cat="profile", start=start, end=0.1)
-            tracer.end_batch(handle)
-            # Outside any batch: no parent.
-            tracer.add_span("train.lockstep", cat="profile", start=0.2, end=0.3)
+        request = FakeRequest("complete", "t0", 0, 0)
+        tracer.request(request)
+        record = FakeFlush("complete", 1, "full", [request])
+        tracer.flush(record)
+        tracer.add_span("als.solve", cat="profile", start=0.0, end=0.1)
+        record.end = 0.1
+        tracer.flushed(record)
+        # Outside any batch: no parent.
+        tracer.add_span("train.lockstep", cat="profile", start=0.2, end=0.3)
 
         solve = next(s for s in tracer.spans if s.name == "als.solve")
         orphan = next(s for s in tracer.spans if s.name == "train.lockstep")
@@ -91,15 +105,10 @@ class TestRequestAndBatchSpans:
 class TestChromeExport:
     def build_trace(self):
         tracer = Tracer()
-        with fake_clock() as clock:
+        with fake_clock():
             request = FakeRequest("assess", "t0", 0, 0)
-            tracer.begin_request(request)
-            clock.advance(0.001)
-            handle = tracer.begin_batch(
-                "assess", tick=1, trigger="full", requests=[request]
-            )
-            clock.advance(0.002)
-            tracer.end_batch(handle)
+            tracer.request(request)
+        serve_batch(tracer, FakeFlush("assess", 1, "full", [request]), 0.001, 0.003)
         return tracer
 
     def test_chrome_object_has_metadata_and_microsecond_complete_events(self):

@@ -15,7 +15,8 @@ from repro.serve.journal import (
     replay_journal,
     weights_fingerprint,
 )
-from repro.serve.server import DecisionServer, ServeConfig
+from repro.serve.batcher import ServeRequest
+from repro.serve.server import DecisionServer, FlushRecord, ServeConfig
 
 
 class MeanInference(InferenceAlgorithm):
@@ -64,7 +65,7 @@ class TestRecording:
     def test_server_traffic_is_journalled_end_to_end(self):
         journal = RequestJournal()
         server = DecisionServer(ServeConfig(max_batch=4, max_wait_ticks=0))
-        server.attach_journal(journal)
+        server.subscribe(journal)
         inference = MeanInference()
         futures = [
             server.complete_matrix(inference, make_matrix(seed), tenant=f"t{seed}")
@@ -86,7 +87,7 @@ class TestRecording:
     def test_entity_labels_are_stable_first_seen(self):
         journal = RequestJournal()
         server = DecisionServer(ServeConfig(max_batch=8, max_wait_ticks=0))
-        server.attach_journal(journal)
+        server.subscribe(journal)
         first, second = MeanInference(), MeanInference()
         server.complete_matrix(first, make_matrix(0))
         server.complete_matrix(second, make_matrix(1))
@@ -109,7 +110,7 @@ class TestRecording:
                 raise ValueError("kaput")
 
         server = DecisionServer(ServeConfig(max_batch=4, max_wait_ticks=0))
-        server.attach_journal(journal)
+        server.subscribe(journal)
         future = server.complete_matrix(Boom(), make_matrix(0))
         server.flush()
         with pytest.raises(ValueError, match="kaput"):
@@ -157,7 +158,8 @@ class TestPersistenceAndDiff:
     def test_save_load_round_trip(self, tmp_path):
         journal = RequestJournal()
         journal.record_header(scenario={"name": "rt"}, serve={"replicas": 2})
-        journal.record_flush("select", tick=3, trigger="due", sequences=[0, 1])
+        requests = [ServeRequest("select", None, sequence=seq) for seq in (0, 1)]
+        journal.flush(FlushRecord("select", 3, "due", requests))
         path = journal.save(tmp_path / "session.journal")
         assert RequestJournal.load(path) == journal.events
 

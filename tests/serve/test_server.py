@@ -8,7 +8,8 @@ from repro.core.drcell import DRCellAgent
 from repro.inference.compressive import CompressiveSensingInference
 from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
-from repro.serve import DecisionServer, ServeConfig, TickClock
+from repro.obs.trace import Tracer
+from repro.serve import DecisionServer, RequestJournal, ServeConfig, TickClock
 from repro.serve.cache import CachingInference
 
 
@@ -28,6 +29,68 @@ def partial_window(seed=0, n_cells=6, width=5, sensed=4):
     chosen = rng.choice(n_cells, size=sensed, replace=False)
     observed[chosen, -1] = matrix[chosen, -1]
     return observed
+
+
+class SlottedAssessor:
+    """An assessor that cannot be weak-referenced, hence not pool-keyed."""
+
+    __slots__ = ()
+
+    def assess_many(self, observed, cycles, requirements, inference, rngs=None):
+        return [True] * len(observed)
+
+
+class SlottedInference:
+    """An inference that cannot be weak-referenced, hence not pool-keyed."""
+
+    __slots__ = ()
+
+    def complete_batch(self, matrices):
+        return [np.nan_to_num(matrix) for matrix in matrices]
+
+
+class FakeLearner:
+    """The duck-typed learner the learn endpoint needs: check, ingest, telemetry."""
+
+    def __init__(self):
+        self.ingested = 0
+
+    def check_batch(self, batch):
+        pass
+
+    def ingest(self, batches):
+        self.ingested += len(batches)
+        return [f"receipt-{self.ingested}"] * len(batches)
+
+    def telemetry(self):
+        return {"total_steps": self.ingested}
+
+
+class UnreadableAgent:
+    """A policy whose answers the select handler cannot read as actions."""
+
+    state_shape = (2,)
+    n_actions = 2
+
+    def select_actions(self, states, masks, greedy):
+        return ["not-an-action"] * len(states)
+
+
+class Recorder:
+    """A subscriber that logs the event stream."""
+
+    def __init__(self):
+        self.events = []
+
+    def request(self, request):
+        self.events.append(("request", request.kind, request.sequence))
+
+    def flush(self, record):
+        self.events.append(("flush", record.kind, [r.sequence for r in record.requests]))
+
+    def flushed(self, record):
+        done = all(request.future.done for request in record.requests)
+        self.events.append(("flushed", record.kind, done))
 
 
 class TestSelectEndpoint:
@@ -344,6 +407,49 @@ class TestPoisonedRequests:
 
         assert serve(poisoned=True) == serve(poisoned=False)
 
+    def test_unkeyable_assessor_fails_alone(self):
+        requirement = QualityRequirement(epsilon=0.6, p=0.8, metric="mae")
+
+        def serve(poisoned):
+            inference = CompressiveSensingInference(rank=2, iterations=4, seed=0)
+            assessor = LeaveOneOutBayesianAssessor(
+                min_observations=2, max_loo_cells=3, history_window=5,
+                rng=np.random.default_rng(0),
+            )
+            server = DecisionServer()
+            if poisoned:
+                with pytest.raises(TypeError):
+                    server.assess_quality(
+                        SlottedAssessor(), inference, partial_window(seed=3), 4, requirement
+                    )
+            future = server.assess_quality(
+                assessor, inference, partial_window(seed=3), 4, requirement
+            )
+            server.run_pending()
+            return future.result(), server.stats.deterministic_dict()
+
+        assert serve(poisoned=True) == serve(poisoned=False)
+
+    def test_unkeyable_inference_fails_alone(self):
+        def serve(poisoned):
+            als = CompressiveSensingInference(rank=2, iterations=4, seed=0)
+            server = DecisionServer()
+            if poisoned:
+                with pytest.raises(TypeError):
+                    server.complete_matrix(SlottedInference(), partial_window(seed=1))
+            future = server.complete_matrix(als, partial_window(seed=1))
+            server.run_pending()
+            return future.result().tobytes(), server.stats.deterministic_dict()
+
+        assert serve(poisoned=True) == serve(poisoned=False)
+
+    def test_refused_request_is_not_counted(self):
+        als = CompressiveSensingInference(rank=2, iterations=4, seed=0)
+        server = DecisionServer()
+        with pytest.raises(ValueError, match="tenant"):
+            server.complete_matrix(als, partial_window(seed=1), tenant="")
+        assert server.stats.deterministic_dict() == DecisionServer().stats.deterministic_dict()
+
     def test_assess_rejects_a_matrix_that_is_not_2d(self):
         requirement = QualityRequirement(epsilon=0.6, p=0.8, metric="mae")
         assessor = LeaveOneOutBayesianAssessor(min_observations=2)
@@ -398,3 +504,58 @@ class TestFlushSemantics:
         assert isinstance(wrapper, CachingInference)
         assert server._cached(als) is wrapper
         assert server._cached(wrapper) is wrapper
+
+
+class TestEventStream:
+    def test_subscribers_see_request_flush_flushed_for_every_endpoint(self):
+        requirement = QualityRequirement(epsilon=0.6, p=0.8, metric="mae")
+        agent = tiny_agent()
+        observed = partial_window(seed=2)
+        sensed = ~np.isnan(observed[:, -1])
+        state = agent.state_model.from_observations(observed, observed.shape[1] - 1, sensed)
+        mask = agent.action_space.mask_from_sensed(sensed)
+        als = CompressiveSensingInference(rank=2, iterations=3, seed=0)
+        assessor = LeaveOneOutBayesianAssessor(min_observations=2, max_loo_cells=3)
+        server = DecisionServer()
+        recorder = Recorder()
+        server.subscribe(recorder)
+        submit = {
+            "select": lambda: server.select_cell(agent, state, mask),
+            "assess": lambda: server.assess_quality(
+                assessor, als, partial_window(seed=3), 4, requirement
+            ),
+            "complete": lambda: server.complete_matrix(als, partial_window(seed=4)),
+            "learn": lambda: server.learn_batch(FakeLearner(), "batch"),
+        }
+        for sequence, (kind, call) in enumerate(submit.items()):
+            call()
+            server.flush(kind)
+            assert recorder.events[-3:] == [
+                ("request", kind, sequence),
+                ("flush", kind, [sequence]),
+                ("flushed", kind, True),
+            ]
+        assert len(recorder.events) == 12
+        assert server.stats.learners == {"learner-0": {"total_steps": 1}}
+
+    def test_raising_handler_fails_its_batch_and_closes_every_view(self):
+        server = DecisionServer()
+        journal, tracer = RequestJournal(), Tracer()
+        server.subscribe(journal)
+        server.subscribe(tracer)
+        agent = UnreadableAgent()
+        futures = [
+            server.select_cell(agent, [0.0, 1.0], [True, True], tenant=tenant)
+            for tenant in ("a", "b")
+        ]
+        with pytest.raises(ValueError, match="not-an-action"):
+            server.flush()
+        for future in futures:
+            with pytest.raises(ValueError, match="not-an-action"):
+                future.result()
+        assert tracer.open_batches == 0 and tracer.open_requests == 0
+        assert [span.cat for span in tracer.spans].count("serve.batch") == 1
+        responses = [event for event in journal.events if event["type"] == "response"]
+        assert [event["seq"] for event in responses] == [0, 1]
+        assert all("not-an-action" in event["error"] for event in responses)
+        assert server.stats.endpoint("select").batches == 1

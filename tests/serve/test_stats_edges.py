@@ -3,7 +3,14 @@
 import json
 import math
 
+from repro.serve.batcher import ServeRequest
+from repro.serve.server import FlushRecord
 from repro.serve.stats import EndpointStats, ServerStats, TenantStats
+
+
+class FakeLearner:
+    def telemetry(self):
+        return {"published_version": 3}
 
 
 class TestLatencyPercentileEdges:
@@ -70,8 +77,9 @@ class TestAsDictStability:
 
     def test_deterministic_dict_never_carries_wall_clock_fields(self):
         stats = ServerStats()
-        with stats.record_batch("select", 4):
-            pass
+        record = FlushRecord("select", 0, "forced", [ServeRequest("select", None)] * 4)
+        stats.flush(record)
+        stats.flushed(record)
         deterministic = stats.deterministic_dict()["endpoints"]["select"]
         assert "seconds" not in deterministic
         assert "p50_latency_seconds" not in deterministic
@@ -93,13 +101,19 @@ class TestStateRoundTripsUnderEdgeInputs:
 
     def test_server_stats_round_trips_through_json(self):
         stats = ServerStats()
-        stats.record_request("select", tenant="a")
-        stats.record_request("select", tenant="b")
-        with stats.record_batch("select", 2):
-            pass
-        stats.record_fairness(served=["a"], starved=["b"])
-        stats.record_learner("learner-0", {"published_version": 3})
-        stats.ticks = 11
+        requests = [ServeRequest("select", None, tenant=tenant) for tenant in "ab"]
+        for request in requests:
+            stats.request(request)
+        record = FlushRecord(
+            "select",
+            11,
+            "full",
+            requests[:1],
+            starved=("b",),
+            learners={"learner-0": FakeLearner()},
+        )
+        stats.flush(record)
+        stats.flushed(record)
         clone = ServerStats()
         clone.load_state_dict(json.loads(json.dumps(stats.state_dict())))
         assert clone.deterministic_dict() == stats.deterministic_dict()
