@@ -2,11 +2,15 @@
 
 The library's import-time contract has four legs:
 
-* ``repro/api/__init__.py`` is the PEP-562 façade: component modules do
-  ``from repro.api.registry import DATASETS`` at import time, so the façade
-  itself may only import the registry module (everything else resolves
-  lazily through ``__getattr__``).  One eager import of ``session`` or
-  ``specs`` there and every component registration becomes a cycle;
+* the PEP-562 façades (:data:`FACADES`) import eagerly only what their
+  table allows; everything else resolves lazily through ``__getattr__``.
+  ``repro/api/__init__.py`` may load only the registry module: component
+  modules do ``from repro.api.registry import DATASETS`` at import time,
+  and one eager import of ``session`` or ``specs`` there makes every
+  component registration a cycle.  ``repro/obs/__init__.py`` may load only
+  ``repro.obs.profile``: the trainer, LOO and ALS hot paths import its
+  ``phase`` guard, and one eager import of the metrics, export, adapter or
+  trace modules puts them in every process;
 * optional accelerators (``numba``, ``torch``) must never be imported
   eagerly by a ``repro`` module outside a ``try/except ImportError`` guard —
   the library has to import (and the CPU paths have to run) on machines
@@ -35,11 +39,11 @@ from repro.analysis.finding import Finding
 from repro.analysis.project import Project, SourceFile
 from repro.analysis.registry import AnalysisRule, RULES
 
-#: Path suffix of the PEP-562 façade.
-API_FACADE_SUFFIX = "repro/api/__init__.py"
-
-#: The only modules the façade may import eagerly.
-API_FACADE_ALLOWED = frozenset({"__future__", "typing", "repro.api.registry"})
+#: PEP-562 façades: path suffix -> the only modules the façade may import eagerly.
+FACADES = {
+    "repro/api/__init__.py": frozenset({"__future__", "typing", "repro.api.registry"}),
+    "repro/obs/__init__.py": frozenset({"__future__", "typing", "repro.obs.profile"}),
+}
 
 #: Optional heavy dependencies that must stay behind ImportError guards.
 GUARDED_MODULES = frozenset({"numba", "torch"})
@@ -145,7 +149,8 @@ def _top_level_imports(
 class LazyImportHygieneRule(AnalysisRule):
     id = "lazy-import-hygiene"
     description = (
-        "repro.api facade imports only the registry eagerly, numba/torch stay behind "
+        "the repro.api and repro.obs facades import only their allowed modules "
+        "eagerly, numba/torch stay behind "
         "ImportError guards, scipy is imported only inside functions and "
         "scipy.special/scipy.stats not at all, and the explicit top-level import "
         "graph is acyclic"
@@ -171,7 +176,10 @@ class LazyImportHygieneRule(AnalysisRule):
         modules: Dict[str, SourceFile],
         edges: Dict[str, List[Tuple[str, SourceFile, ast.AST]]],
     ) -> Iterator[Finding]:
-        is_facade = source.rel_path.endswith(API_FACADE_SUFFIX)
+        facade_allows = next(
+            (allowed for suffix, allowed in FACADES.items() if source.rel_path.endswith(suffix)),
+            None,
+        )
         module = source.module_name
         in_repro = module is not None
 
@@ -196,12 +204,12 @@ class LazyImportHygieneRule(AnalysisRule):
                     f"module-level import of `{lazy_only[0]}`; import it inside the "
                     "function that needs it so importing the package stays cheap",
                 )
-            if is_facade and imported not in API_FACADE_ALLOWED:
+            if facade_allows is not None and imported not in facade_allows:
                 yield source.finding(
                     self.id,
                     node,
-                    f"repro.api facade eagerly imports `{imported}`; only "
-                    f"{sorted(API_FACADE_ALLOWED)} may load at import time — "
+                    f"{module} facade eagerly imports `{imported}`; only "
+                    f"{sorted(facade_allows)} may load at import time — "
                     "everything else goes through the PEP-562 __getattr__",
                 )
             if module is not None:

@@ -32,7 +32,7 @@ from repro.learner.replay import TransitionBatch
 from repro.learner.weights import WeightSnapshot, WeightStore
 from repro.mcs.environment import RewardModel
 from repro.mcs.policies import CellSelectionPolicy
-from repro.rl.dqn import delta_greedy, stack_queries
+from repro.rl.dqn import Acting, select_group
 from repro.rl.schedules import Schedule
 from repro.utils.seeding import RngLike, as_rng
 
@@ -121,24 +121,28 @@ class ServingActor:
     ) -> List[int]:
         """δ-greedy selection over the latest snapshot; one stacked forward.
 
-        Runs the same :func:`~repro.rl.dqn.delta_greedy` helper as
-        :meth:`~repro.rl.dqn.DQNAgent.select_actions` on the actor's own RNG
-        stream, with the exploration schedule evaluated at the snapshot's
-        ``total_steps``.  Pulls before predicting, so a flushed batch always
-        runs against the freshest published weights.
+        One group of :func:`~repro.rl.dqn.select_groups`, the helper behind
+        :meth:`~repro.rl.dqn.DQNAgent.select_actions` too: pulls (see
+        :meth:`acting`), then one ``predict`` over the stacked states and
+        δ-greedy draws on the actor's own RNG stream.  A decision server
+        answers every actor holding one snapshot with one forward on a
+        leading group axis, whose per-actor Q-values equal this call's byte
+        for byte; rows folded into one 2-D batch would not.
         """
-        self.pull()
-        batch, stacked_masks, greedy_flags = stack_queries(
-            states, masks, greedy, self.n_actions
-        )
-        if not greedy_flags:
-            return []
-        delta = self.exploration(self.snapshot.total_steps)
-        return delta_greedy(
-            self.network.predict(batch),
-            stacked_masks,
-            self._rng,
-            [0.0 if flag else delta for flag in greedy_flags],
+        return select_group(self, states, masks, greedy)
+
+    def acting(self) -> Acting:
+        """Pull, then the actor's share of a select flush.
+
+        The pulled snapshot names the weight set (actors holding one
+        snapshot share a grouped forward), and δ is the exploration
+        schedule at the snapshot's ``total_steps``.  Pulling here, before
+        every forward, means a flushed batch always runs against the
+        freshest published weights.
+        """
+        snapshot = self.pull()
+        return Acting(
+            snapshot, self.network, self._rng, self.exploration(snapshot.total_steps)
         )
 
     def select_action(

@@ -120,12 +120,24 @@ class Dense(Layer):
         self._cache_pre: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        """``(batch, in)`` gives ``(batch, out)``; ``(groups, batch, in)`` gives
+        ``(groups, batch, out)``, inference only.
+
+        A leading group axis broadcasts the weights: ``np.matmul`` runs the
+        same per-slice product as ``forward(x[g])``, so each group's output
+        equals that call byte for byte.  Folding the groups into one
+        ``(groups·batch, in)`` batch is a different product (a one-row
+        group alone is a matrix-vector product, folded it is a row of a
+        matrix-matrix one), which can round differently in the last bit.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        if x.shape[1] != self.input_dim:
+        if x.ndim == 3 and training:
+            raise ValueError("a grouped Dense forward is inference-only (training=False)")
+        if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise ValueError(
-                f"Dense expected input dim {self.input_dim}, got {x.shape[1]}"
+                f"Dense expected input dim {self.input_dim}, got shape {x.shape}"
             )
         pre = x @ self.params["W"] + self.params["b"]
         if training:
@@ -227,45 +239,54 @@ class LSTM(Layer):
     # -- forward -----------------------------------------------------------
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        """``(batch, time, in)`` gives ``(batch, hidden)`` (or the sequence).
+
+        A leading group axis, ``(groups, batch, time, in)``, is accepted for
+        inference only: every product is a per-slice ``np.matmul`` and every
+        activation elementwise, so each group's output equals
+        ``forward(x[g])`` byte for byte (see :meth:`Dense.forward`).
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             # Interpret a single sequence as batch size one.
             x = x[None, :, :]
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
+        if x.ndim == 4 and training:
+            raise ValueError("a grouped LSTM forward is inference-only (training=False)")
+        if x.ndim not in (3, 4) or x.shape[-1] != self.input_dim:
             raise ValueError(
-                "LSTM expects input of shape (batch, time, "
+                "LSTM expects input of shape ([groups,] batch, time, "
                 f"{self.input_dim}), got {x.shape}"
             )
-        batch, steps, _ = x.shape
+        lead, steps = x.shape[:-2], x.shape[-2]
         hidden = self.hidden_dim
-        h = np.zeros((batch, hidden), dtype=float)
-        c = np.zeros((batch, hidden), dtype=float)
+        h = np.zeros(lead + (hidden,), dtype=float)
+        c = np.zeros(lead + (hidden,), dtype=float)
 
-        # All four gates of every timestep live in one (steps, batch, 4H)
-        # slab; per-step activations are applied to the whole slab instead
+        # All four gates of every timestep live in one
+        # (steps, [groups,] batch, 4H) slab; per-step activations are applied to the whole slab instead
         # of four separate temporaries.
-        gates = np.empty((steps, batch, 4 * hidden), dtype=float)
-        cells = np.empty((steps, batch, hidden), dtype=float)
-        hiddens = np.empty((steps, batch, hidden), dtype=float)
-        scratch = np.empty((batch, 4 * hidden), dtype=float)
-        scratch_h = np.empty((batch, hidden), dtype=float)
+        gates = np.empty((steps,) + lead + (4 * hidden,), dtype=float)
+        cells = np.empty((steps,) + lead + (hidden,), dtype=float)
+        hiddens = np.empty((steps,) + lead + (hidden,), dtype=float)
+        scratch = np.empty(lead + (4 * hidden,), dtype=float)
+        scratch_h = np.empty(lead + (hidden,), dtype=float)
 
         Wx, Wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
         for t in range(steps):
             z = gates[t]
-            np.matmul(x[:, t, :], Wx, out=z)
+            np.matmul(x[..., t, :], Wx, out=z)
             np.matmul(h, Wh, out=scratch)
             z += scratch
             z += b
             # One sigmoid over the whole slab; the candidate slice keeps
             # its tanh, taken first and written back.
-            np.tanh(z[:, 2 * hidden : 3 * hidden], out=scratch_h)
+            np.tanh(z[..., 2 * hidden : 3 * hidden], out=scratch_h)
             z[...] = sigmoid(z)
-            z[:, 2 * hidden : 3 * hidden] = scratch_h
-            i = z[:, :hidden]
-            f = z[:, hidden : 2 * hidden]
-            g = z[:, 2 * hidden : 3 * hidden]
-            o = z[:, 3 * hidden :]
+            z[..., 2 * hidden : 3 * hidden] = scratch_h
+            i = z[..., :hidden]
+            f = z[..., hidden : 2 * hidden]
+            g = z[..., 2 * hidden : 3 * hidden]
+            o = z[..., 3 * hidden :]
             np.multiply(f, c, out=cells[t])
             np.multiply(i, g, out=scratch_h)
             cells[t] += scratch_h
@@ -280,7 +301,7 @@ class LSTM(Layer):
             self._cache = None
 
         if self.return_sequences:
-            return hiddens.transpose(1, 0, 2).copy()
+            return np.moveaxis(hiddens, 0, -2).copy()
         return h.copy()
 
     # -- backward ----------------------------------------------------------

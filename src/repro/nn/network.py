@@ -126,7 +126,16 @@ class QNetworkBase:
     # -- inference ---------------------------------------------------------
 
     def predict(self, states: np.ndarray) -> np.ndarray:
-        """Return Q-values of shape ``(batch, n_actions)`` without caching gradients."""
+        """Return Q-values of shape ``(batch, n_actions)`` without caching gradients.
+
+        Grouped states ``(groups, batch, window, n_cells)`` give Q-values
+        ``(groups, batch, n_actions)`` from one forward with the weights
+        broadcast over the group axis; group ``g`` equals
+        ``predict(states[g])`` byte for byte.  Rows folded into one
+        ``(groups·batch, …)`` batch need not: a one-row group alone runs a
+        matrix-vector product, folded a matrix-matrix one, and the two can
+        round differently in the last bit.
+        """
         batch = self._prepare_states(states)
         return self.model.forward(batch, training=False)
 
@@ -287,6 +296,26 @@ class QNetworkBase:
         """Convert a batch of environment states into the network input layout."""
         raise NotImplementedError
 
+    def _check_states(self, states: np.ndarray) -> np.ndarray:
+        """``states`` as a float ``([groups,] batch, window, n_cells)`` array.
+
+        A single ``(window, n_cells)`` state becomes a batch of one.
+        """
+        states = np.asarray(states, dtype=float)
+        if states.ndim == 2:
+            states = states[None, ...]
+        if states.ndim not in (3, 4):
+            raise ValueError(
+                "expected states of shape ([groups,] batch, window, n_cells), "
+                f"got {states.shape}"
+            )
+        if states.shape[-2:] != (self.window, self.n_cells):
+            raise ValueError(
+                f"state window/cells {states.shape[-2:]} do not match network "
+                f"({self.window}, {self.n_cells})"
+            )
+        return states
+
 
 class FeedForwardQNetwork(QNetworkBase):
     """Dense Q-network over the flattened state window (DQN ablation baseline).
@@ -342,20 +371,8 @@ class FeedForwardQNetwork(QNetworkBase):
         )
 
     def _prepare_states(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 2:
-            states = states[None, ...]
-        if states.ndim != 3:
-            raise ValueError(
-                f"expected states of shape (batch, window, n_cells), got {states.shape}"
-            )
-        batch = states.shape[0]
-        if states.shape[1] != self.window or states.shape[2] != self.n_cells:
-            raise ValueError(
-                f"state window/cells {states.shape[1:]} do not match network "
-                f"({self.window}, {self.n_cells})"
-            )
-        return states.reshape(batch, self.window * self.n_cells)
+        states = self._check_states(states)
+        return states.reshape(states.shape[:-2] + (self.window * self.n_cells,))
 
 
 class RecurrentQNetwork(QNetworkBase):
@@ -411,16 +428,4 @@ class RecurrentQNetwork(QNetworkBase):
         )
 
     def _prepare_states(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 2:
-            states = states[None, ...]
-        if states.ndim != 3:
-            raise ValueError(
-                f"expected states of shape (batch, window, n_cells), got {states.shape}"
-            )
-        if states.shape[1] != self.window or states.shape[2] != self.n_cells:
-            raise ValueError(
-                f"state window/cells {states.shape[1:]} do not match network "
-                f"({self.window}, {self.n_cells})"
-            )
-        return states
+        return self._check_states(states)

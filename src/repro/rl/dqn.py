@@ -8,7 +8,7 @@ feed-forward DQN ablation and the paper's recurrent DRQN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,7 +140,7 @@ def stack_queries(
 def delta_greedy(
     q: np.ndarray,
     masks: np.ndarray,
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, Sequence[np.random.Generator]],
     deltas: Optional[Sequence[float]] = None,
 ) -> List[int]:
     """δ-greedy selection over a ``(n, n_actions)`` batch of Q-values.
@@ -155,6 +155,12 @@ def delta_greedy(
     explore draw: every row exploits (for callers that resolved exploration
     beforehand).
 
+    ``rng`` is one generator for every row or a sequence of one generator
+    per row.  Rows still draw in row order, so one call over several
+    groups' rows, each row on its group's generator, consumes every
+    generator exactly as one call per group in group order would, also
+    when groups share a generator.
+
     Raises ``ValueError`` before any draw when a mask allows no action.  A
     row whose masked Q-values hold a NaN maximum has no tied best action,
     so its ``rng.choice`` raises ``ValueError`` as the per-row form does.
@@ -166,12 +172,148 @@ def delta_greedy(
     ties = masked == masked.max(axis=1, keepdims=True)
     actions = ties.argmax(axis=1).tolist()
     n_tied = ties.sum(axis=1).tolist()
-    for row in range(len(actions)):
-        if deltas is not None and rng.random() < deltas[row]:
-            actions[row] = int(rng.choice(np.flatnonzero(masks[row])))
+    rngs = [rng] * len(actions) if isinstance(rng, np.random.Generator) else list(rng)
+    if len(rngs) != len(actions):
+        raise ValueError(f"{len(actions)} rows but {len(rngs)} generators")
+    for row, draw in enumerate(rngs):
+        if deltas is not None and draw.random() < deltas[row]:
+            actions[row] = int(draw.choice(np.flatnonzero(masks[row])))
         elif n_tied[row] != 1:
-            actions[row] = int(rng.choice(np.flatnonzero(ties[row])))
+            actions[row] = int(draw.choice(np.flatnonzero(ties[row])))
     return actions
+
+
+class Acting(NamedTuple):
+    """What one selector brings to a select flush (see :func:`select_groups`).
+
+    ``weights`` identifies the weight set: selectors whose ``weights`` is
+    one object, whose networks share a class and whose groups share a size
+    share one grouped forward, run on the first one's ``network``.
+    """
+
+    weights: Any
+    network: QNetworkBase
+    rng: np.random.Generator
+    delta: float
+
+
+def select_groups(queries: Sequence[Tuple[Any, Sequence, Any, Any]]) -> List[Any]:
+    """δ-greedy selection for several selectors, one forward per weight set.
+
+    ``queries`` holds one ``(selector, states, masks, greedy)`` group per
+    selector: a :class:`DQNAgent`, a :class:`~repro.learner.actor.
+    ServingActor` or anything with ``n_actions`` and an ``acting()``
+    returning :class:`Acting`.  Returns, per group, its list of actions or
+    the exception that failed it.
+
+    1. Each selector's ``acting()`` runs in group order (a serving actor
+       pulls the latest snapshot there) and its group is stacked.
+    2. Groups whose ``Acting`` names one weight set and network class and
+       that have one size form a bucket.  A bucket of several groups runs
+       one ``predict`` over ``(groups, size, window, n_cells)`` states;
+       group ``g`` of it equals ``predict(states[g])`` byte for byte (see
+       :meth:`~repro.nn.network.QNetworkBase.predict`).  A one-group bucket
+       runs that call itself.  If a grouped forward raises, its groups run
+       one by one, so only a group whose own forward raises fails.
+    3. The draws run in group order, each row on its group's generator and
+       δ, through one :func:`delta_greedy` call over every group's rows
+       (group by group when a draw could raise: a NaN Q-value or a mask
+       that allows no action).  Generators shared across groups are
+       consumed in the order one call per group would consume them.
+    """
+    outcomes: List[Any] = [None] * len(queries)
+    ready: Dict[int, _Group] = {}
+    buckets: Dict[tuple, List[int]] = {}
+    for index, (selector, states, masks, greedy) in enumerate(queries):
+        try:
+            acting = selector.acting()
+            batch, stacked, flags = stack_queries(states, masks, greedy, selector.n_actions)
+        except Exception as error:  # fails this group alone
+            outcomes[index] = error
+            continue
+        if not flags:
+            outcomes[index] = []
+            continue
+        deltas = [0.0 if flag else acting.delta for flag in flags]
+        ready[index] = _Group(acting, batch, stacked, deltas)
+        key = (id(acting.weights), type(acting.network), len(flags))
+        buckets.setdefault(key, []).append(index)
+
+    q_values: Dict[int, np.ndarray] = {}
+    for members in buckets.values():
+        if len(members) > 1:
+            network = ready[members[0]].acting.network
+            try:
+                grouped = network.predict(np.stack([ready[index].states for index in members]))
+            except Exception:  # retried group by group below
+                pass
+            else:
+                q_values.update(zip(members, grouped))
+                continue
+        for index in members:
+            group = ready[index]
+            try:
+                q_values[index] = group.acting.network.predict(group.states)
+            except Exception as error:  # fails this group alone
+                outcomes[index] = error
+
+    order = sorted(q_values)
+    _draw([ready[index] for index in order], [q_values[index] for index in order], order, outcomes)
+    return outcomes
+
+
+class _Group(NamedTuple):
+    """One selector's stacked queries in :func:`select_groups`."""
+
+    acting: Acting
+    states: np.ndarray
+    masks: np.ndarray
+    deltas: List[float]
+
+
+def _draw(
+    groups: List[_Group], q_values: List[np.ndarray], indices: List[int], outcomes: List[Any]
+) -> None:
+    """Draw ``groups``' actions in order, each row on its group's generator.
+
+    When no draw can raise (every mask allows an action, no Q-value is NaN)
+    all rows go through one :func:`delta_greedy` call; otherwise the groups
+    draw one by one, which consumes every generator identically, so a group
+    whose draws raise fails alone.
+    """
+    if len(groups) > 1:
+        masks = np.concatenate([group.masks for group in groups])
+        q = np.concatenate(q_values)
+        if masks.any(axis=1).all() and not np.isnan(q).any():
+            actions = delta_greedy(
+                q,
+                masks,
+                [group.acting.rng for group in groups for _ in group.deltas],
+                [delta for group in groups for delta in group.deltas],
+            )
+            start = 0
+            for index, group in zip(indices, groups):
+                outcomes[index] = actions[start : start + len(group.deltas)]
+                start += len(group.deltas)
+            return
+    for index, group, q in zip(indices, groups, q_values):
+        try:
+            outcomes[index] = delta_greedy(q, group.masks, group.acting.rng, group.deltas)
+        except Exception as error:  # fails this group alone
+            outcomes[index] = error
+
+
+def select_group(
+    selector: Any,
+    states: Sequence[np.ndarray],
+    masks: Optional[Sequence[Optional[np.ndarray]]] = None,
+    greedy: Union[bool, Sequence[bool]] = False,
+) -> List[int]:
+    """:func:`select_groups` for one selector; raises what fails its group."""
+    (outcome,) = select_groups([(selector, states, masks, greedy)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class DQNAgent:
@@ -236,27 +378,23 @@ class DQNAgent:
     ) -> List[int]:
         """δ-greedy selection for several states with one stacked forward pass.
 
-        The serving hot path: N pending policy queries against one shared
-        agent cost one ``predict`` over the stacked states and one
-        :func:`delta_greedy` over the Q batch.  The exploration RNG is
-        consumed in exactly the order sequential :meth:`select_action`
-        calls would consume it, because the Q-network forward itself draws
-        no randomness.  Stacked forwards can differ from single-state
-        forwards by float rounding (~1 ulp), which only matters when two
-        Q-values tie to within that noise.
+        One group of :func:`select_groups`: one ``predict`` over the
+        stacked states and one :func:`delta_greedy` over the Q batch.  The
+        exploration RNG is consumed in exactly the order sequential
+        :meth:`select_action` calls would consume it, because the forward
+        draws no randomness.  The stacked states are rows of one 2-D batch,
+        and a row of a batch can differ from a single-state forward in the
+        last bit (a matrix-matrix against a matrix-vector product), which
+        only matters when two Q-values tie to within that noise.  A decision
+        server answering several agents' groups runs them on a leading group
+        axis instead, where each group's Q-values equal this call's byte for
+        byte.
         """
-        batch, stacked_masks, greedy_flags = stack_queries(
-            states, masks, greedy, self.n_actions
-        )
-        if not greedy_flags:
-            return []
-        delta = self.exploration(self.total_steps)
-        return delta_greedy(
-            self.online.predict(batch),
-            stacked_masks,
-            self._rng,
-            [0.0 if flag else delta for flag in greedy_flags],
-        )
+        return select_group(self, states, masks, greedy)
+
+    def acting(self) -> Acting:
+        """This agent's share of a select flush: its online network, stream and δ."""
+        return Acting(self.online, self.online, self._rng, self.exploration(self.total_steps))
 
     def q_values(self, state: np.ndarray) -> np.ndarray:
         """Online-network Q-values for a single state."""

@@ -8,10 +8,12 @@ the same time.  Four endpoints cover the hot paths of a Sparse MCS
 campaign:
 
 ``select_cell``
-    A policy query against a (shared) DR-Cell agent.  All pending queries
-    for the same agent are answered with **one stacked Q-network forward**
-    (:meth:`~repro.rl.dqn.DQNAgent.select_actions`), preserving the agent's
-    exploration-RNG draw order of sequential calls.
+    A policy query against a (shared) DR-Cell agent or a serving actor.
+    A flush runs **one Q-network forward per weight set**
+    (:func:`~repro.rl.dqn.select_groups`): each agent's queries form a
+    group, and the actors holding one weight snapshot share a forward on a
+    leading group axis.  Every agent's exploration RNG is drawn in the
+    order of sequential calls.
 ``assess_quality``
     A quality-assessment request.  Pending requests are grouped by
     (assessor, inference) *equivalence* and each group is answered with one
@@ -63,6 +65,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 import numpy as np
 
 from repro.inference.base import InferenceAlgorithm
+from repro.rl.dqn import select_groups
 from repro.serve.batcher import (
     DEFAULT_TENANT,
     MicroBatcher,
@@ -274,12 +277,12 @@ class DecisionServer:
         agent answers a flush's queries in one call, so a query it cannot
         answer must not fail the queries pooled with it.
         """
-        if not hasattr(agent, "select_actions") and hasattr(agent, "agent"):
+        if not hasattr(agent, "acting") and hasattr(agent, "agent"):
             agent = agent.agent  # DRCellAgent -> DQNAgent
-        if not hasattr(agent, "select_actions"):
+        if not hasattr(agent, "acting"):
             raise TypeError(
-                f"{type(agent).__name__} cannot serve policy queries; expected an "
-                "agent with a batched select_actions method"
+                f"{type(agent).__name__} cannot serve policy queries; expected a "
+                "DQNAgent, a ServingActor or another selector with acting()"
             )
         checked = np.asarray(state, dtype=float)
         if checked.shape != agent.state_shape:
@@ -469,23 +472,34 @@ class DecisionServer:
         return len(requests)
 
     def _handle_select(self, requests: List[ServeRequest]) -> None:
-        """Answer policy queries, one stacked forward per distinct agent."""
+        """Answer policy queries: one group per agent, one forward per weight set.
+
+        :func:`~repro.rl.dqn.select_groups` pulls every serving actor,
+        forwards the groups that share a weight set and a size on one
+        leading group axis, and draws group by group in first-request order,
+        each on its agent's own generator.  A group whose pull, forward or
+        draws raise fails alone.
+        """
         groups: Dict[int, List[ServeRequest]] = {}
         for request in requests:
             groups.setdefault(id(request.payload.agent), []).append(request)
-        for group in groups.values():
-            agent = group[0].payload.agent
-            try:
-                actions = agent.select_actions(
+        outcomes = select_groups(
+            [
+                (
+                    group[0].payload.agent,
                     [request.payload.state for request in group],
-                    masks=[request.payload.mask for request in group],
-                    greedy=[request.payload.greedy for request in group],
+                    [request.payload.mask for request in group],
+                    [request.payload.greedy for request in group],
                 )
-            except Exception as error:  # propagate to every waiting client
-                self._fail_group(group, error)
+                for group in groups.values()
+            ]
+        )
+        for group, outcome in zip(groups.values(), outcomes):
+            if isinstance(outcome, Exception):
+                self._fail_group(group, outcome)
                 continue
-            for request, action in zip(group, actions):
-                request.future.set_result(int(action))
+            for request, action in zip(group, outcome):
+                request.future.set_result(action)
 
     def _handle_assess(self, requests: List[ServeRequest]) -> None:
         """Answer assessments, one ``assess_many`` per (assessor, inference) class."""

@@ -52,12 +52,13 @@ CASES = {
             "eager top-level import of optional dependency `torch`",
             "explicit top-level import cycle: repro.alpha -> repro.beta -> repro.alpha",
             "repro.api facade eagerly imports `repro.api.session`",
+            "repro.obs facade eagerly imports `repro.obs.trace`",
             "module-level import of `scipy.stats`",
             "module-level import of `scipy.special`",
             "function-level import of `scipy.special` loads the whole package",
             "function-level import of `scipy.stats` loads the whole package",
         ],
-        9,
+        10,
     ),
     "suppression-hygiene": (
         "suppression",

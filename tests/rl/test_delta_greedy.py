@@ -108,3 +108,59 @@ def test_empty_mask_raises_before_any_draw():
     with pytest.raises(ValueError, match="no valid actions"):
         delta_greedy(q, masks, rng, [1.0] * 4)
     assert rng.bit_generator.state == before
+
+
+def per_group_and_per_row(sizes, owners, deltas, seed):
+    """Draw groups of ``sizes`` rows once per group, then once over all rows.
+
+    ``owners[g]`` names group ``g``'s generator; groups with one owner share
+    it.  Returns both runs' actions and generator states.
+    """
+    q, masks = batch(sum(sizes), seed=seed, ties=True)
+    bounds = np.cumsum([0, *sizes])
+    row_deltas = [deltas[g] for g, size in enumerate(sizes) for _ in range(size)]
+
+    def streams():
+        return {owner: np.random.default_rng(seed + owner) for owner in set(owners)}
+
+    grouped = streams()
+    per_group = []
+    for g, owner in enumerate(owners):
+        rows = slice(bounds[g], bounds[g + 1])
+        per_group += delta_greedy(q[rows], masks[rows], grouped[owner], row_deltas[rows])
+    flat = streams()
+    rngs = [flat[owner] for g, owner in enumerate(owners) for _ in range(sizes[g])]
+    per_row = delta_greedy(q, masks, rngs, row_deltas)
+    states = lambda by_owner: {k: rng.bit_generator.state for k, rng in by_owner.items()}
+    return (per_group, states(grouped)), (per_row, states(flat))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "sizes, owners",
+    [
+        ([1, 1, 1, 1, 1], [0, 1, 2, 3, 4]),  # one query per serving actor
+        ([3, 1, 2], [0, 1, 2]),
+        ([2, 2, 1], [0, 1, 0]),  # groups 0 and 2 share one generator
+        ([1, 1, 1], [5, 5, 5]),  # every group on one generator
+    ],
+)
+def test_per_row_generators_match_per_group_calls(sizes, owners, seed):
+    deltas = [0.0, 0.5, 1.0, 0.25, 0.75][: len(sizes)]
+    per_group, per_row = per_group_and_per_row(sizes, owners, deltas, seed)
+    assert per_row == per_group
+
+
+def test_single_generator_and_its_per_row_list_agree():
+    q, masks = batch(6, seed=2, ties=True)
+    one, listed = np.random.default_rng(0), np.random.default_rng(0)
+    assert delta_greedy(q, masks, one, [0.5] * 6) == delta_greedy(
+        q, masks, [listed] * 6, [0.5] * 6
+    )
+    assert one.bit_generator.state == listed.bit_generator.state
+
+
+def test_generator_count_must_match_rows():
+    q, masks = batch(3, seed=1)
+    with pytest.raises(ValueError, match="3 rows but 2 generators"):
+        delta_greedy(q, masks, [np.random.default_rng(0)] * 2)

@@ -66,14 +66,19 @@ class FakeLearner:
         return {"total_steps": self.ingested}
 
 
-class UnreadableAgent:
-    """A policy whose answers the select handler cannot read as actions."""
+class StubSelector:
+    """Passes the select endpoint's submission checks; the tests patch the handler."""
 
     state_shape = (2,)
     n_actions = 2
 
-    def select_actions(self, states, masks, greedy):
-        return ["not-an-action"] * len(states)
+    def acting(self):
+        raise AssertionError("a patched select handler never asks the selector")
+
+
+def unreadable_answers(requests):
+    """A select handler that fails outside any per-group isolation."""
+    raise ValueError("not-an-action")
 
 
 class Recorder:
@@ -543,7 +548,8 @@ class TestEventStream:
         journal, tracer = RequestJournal(), Tracer()
         server.subscribe(journal)
         server.subscribe(tracer)
-        agent = UnreadableAgent()
+        server._handle_select = unreadable_answers
+        agent = StubSelector()
         futures = [
             server.select_cell(agent, [0.0, 1.0], [True, True], tenant=tenant)
             for tenant in ("a", "b")

@@ -44,18 +44,14 @@ class FakeLearner:
         return self.snapshot
 
 
-class RaisingAgent:
-    """A policy whose answers the select handler cannot read."""
+class StubSelector:
+    """Passes the select endpoint's submission checks; the test patches the handler."""
 
     state_shape = (2,)
     n_actions = 2
 
-    def __init__(self, clock):
-        self.clock = clock
-
-    def select_actions(self, states, masks, greedy):
-        self.clock.advance(2.0)
-        return ["not-an-action"] * len(states)
+    def acting(self):
+        raise AssertionError("a patched select handler never asks the selector")
 
 
 class TestRecordBatchLatency:
@@ -81,7 +77,13 @@ class TestRecordBatchLatency:
     def test_batch_timed_even_when_handler_raises(self):
         with fake_clock() as clock:
             server = DecisionServer()
-            future = server.select_cell(RaisingAgent(clock), [0.0, 0.0], [True, True])
+
+            def slow_unreadable_answers(requests):
+                clock.advance(2.0)
+                raise ValueError("not-an-action")
+
+            server._handle_select = slow_unreadable_answers
+            future = server.select_cell(StubSelector(), [0.0, 0.0], [True, True])
             with pytest.raises(ValueError, match="not-an-action"):
                 server.flush()
         endpoint = server.stats.endpoint("select")

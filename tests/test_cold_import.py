@@ -136,3 +136,24 @@ def test_served_session_loads_only_the_two_kernel_modules():
     assert stages["trained"] == []
     assert stages["assessments"] > 0
     assert special_and_stats(stages["served"]) == KERNEL_MODULES
+
+
+#: Imports the three hot-path users of the ``phase`` guard, records the
+#: ``repro.obs`` modules loaded, then resolves three façade exports.
+OBS_PROGRAM = """
+import json, sys
+import repro.inference.compressive, repro.core.trainer, repro.serve
+loaded = sorted(name for name in sys.modules if name.split(".")[:2] == ["repro", "obs"])
+from repro.obs import Observability, Tracer, render_prometheus
+print(json.dumps({
+    "loaded": loaded,
+    "resolved": [Observability.__name__, Tracer.__name__, render_prometheus.__name__],
+}))
+"""
+
+
+def test_hot_paths_load_only_the_obs_profile_module():
+    """``repro.obs`` is a PEP-562 façade: its eager half is the ``phase`` guard."""
+    stages = json.loads(run_fresh(OBS_PROGRAM))
+    assert stages["loaded"] == ["repro.obs", "repro.obs.profile"]
+    assert stages["resolved"] == ["Observability", "Tracer", "render_prometheus"]
