@@ -267,15 +267,17 @@ class DecisionServer:
     ) -> PendingResult:
         """Queue a policy query; resolves to the selected cell index.
 
-        ``agent`` may be a :class:`~repro.core.drcell.DRCellAgent` or the
-        underlying :class:`~repro.rl.dqn.DQNAgent`; wrappers are unwrapped so
-        queries against the same shared agent always batch together.
+        ``agent`` may be a :class:`~repro.core.drcell.DRCellAgent`, the
+        underlying :class:`~repro.rl.dqn.DQNAgent` or a
+        :class:`~repro.learner.actor.ServingActor` (any selector with an
+        ``acting()`` method); wrappers are unwrapped so queries against the
+        same shared agent always batch together.
 
         Raises ``ValueError`` here, before queueing, when ``state`` is not a
         finite array of the agent's state shape, or ``mask`` is not a
-        boolean vector over its actions with at least one allowed: the
-        agent answers a flush's queries in one call, so a query it cannot
-        answer must not fail the queries pooled with it.
+        boolean vector over its actions with at least one allowed: a
+        flush's queries share forwards and one batched draw, so a query
+        that cannot be answered must not fail the queries pooled with it.
         """
         if not hasattr(agent, "acting") and hasattr(agent, "agent"):
             agent = agent.agent  # DRCellAgent -> DQNAgent
